@@ -10,6 +10,7 @@
 open Cmdliner
 module Ratio = Aqt_util.Ratio
 module Build = Aqt_graph.Build
+module Net_spec = Aqt_graph.Net_spec
 module Network = Aqt_engine.Network
 module Sim = Aqt_engine.Sim
 module Policies = Aqt_policy.Policies
@@ -21,19 +22,7 @@ module Tbl = Aqt_util.Tbl
 (* ------------------------------------------------------------------ *)
 
 let ratio_conv =
-  let parse s =
-    match String.index_opt s '/' with
-    | Some i -> (
-        try
-          Ok
-            (Ratio.make
-               (int_of_string (String.sub s 0 i))
-               (int_of_string (String.sub s (i + 1) (String.length s - i - 1))))
-        with _ -> Error (`Msg (Printf.sprintf "bad rational %S" s)))
-    | None -> (
-        try Ok (Ratio.of_float_approx (float_of_string s))
-        with _ -> Error (`Msg (Printf.sprintf "bad rate %S" s)))
-  in
+  let parse s = Result.map_error (fun e -> `Msg e) (Ratio.of_string s) in
   Arg.conv (parse, fun fmt r -> Ratio.pp fmt r)
 
 let policy_conv =
@@ -43,31 +32,35 @@ let policy_conv =
   in
   Arg.conv (parse, fun fmt (p : Policies.t) -> Format.pp_print_string fmt p.name)
 
-(* Networks are named "line:K" or "ring:K"; routes are derived. *)
-type net_spec = Line of int | Ring of int
-
 let net_conv =
   let parse s =
-    match String.split_on_char ':' s with
-    | [ "line"; k ] -> ( try Ok (Line (int_of_string k)) with _ -> Error (`Msg "bad size"))
-    | [ "ring"; k ] -> ( try Ok (Ring (int_of_string k)) with _ -> Error (`Msg "bad size"))
-    | _ -> Error (`Msg (Printf.sprintf "unknown network %S (line:K | ring:K)" s))
+    Result.map_error (fun e -> `Msg e) (Net_spec.parse ~max_size:max_int s)
   in
-  let print fmt = function
-    | Line k -> Format.fprintf fmt "line:%d" k
-    | Ring k -> Format.fprintf fmt "ring:%d" k
-  in
-  Arg.conv (parse, print)
+  Arg.conv
+    (parse, fun fmt n -> Format.pp_print_string fmt (Net_spec.to_string n))
 
-let build_net ~d = function
-  | Line k ->
-      let l = Build.line k in
-      let d = min d k in
-      (l.graph, List.init (k - d + 1) (fun i -> Array.sub l.edges i d))
-  | Ring k ->
-      let r = Build.ring k in
-      let d = min d (k - 1) in
-      (r.graph, List.init k (fun i -> Array.init d (fun j -> r.edges.((i + j) mod k))))
+(* [--backend record|soa] and [--domains N,...], shared by [check] and
+   [fabric]: [None] is the record engine alone, [Some ds] adds the
+   struct-of-arrays engine at each domain count in [ds]. *)
+let soa_domains_term =
+  let backend =
+    Arg.(
+      value
+      & opt (enum [ ("record", false); ("soa", true) ]) false
+      & info [ "backend" ] ~docv:"ENGINE"
+          ~doc:
+            "$(b,record) (default) runs the record engine; $(b,soa) runs \
+             the struct-of-arrays engine, once per domain count in \
+             $(b,--domains) (alongside the record arms under $(b,check)).")
+  in
+  let domains =
+    Arg.(
+      value
+      & opt (list int) [ 1 ]
+      & info [ "domains" ] ~docv:"N,..."
+          ~doc:"Domain counts for $(b,--backend soa) (default 1).")
+  in
+  Term.(const (fun soa ds -> if soa then Some ds else None) $ backend $ domains)
 
 (* ------------------------------------------------------------------ *)
 (* params                                                              *)
@@ -261,7 +254,7 @@ let stability_cmd =
 let simulate_cmd =
   let net_arg =
     Arg.(
-      value & opt net_conv (Ring 8)
+      value & opt net_conv (Net_spec.Ring 8)
       & info [ "network" ] ~docv:"NET" ~doc:"Topology: line:K or ring:K.")
   in
   let d = Arg.(value & opt int 4 & info [ "hops"; "d" ] ~doc:"Route length.") in
@@ -275,7 +268,7 @@ let simulate_cmd =
     Arg.(value & flag & info [ "stochastic" ] ~doc:"Bernoulli instead of bursts.")
   in
   let run spec policy d rate horizon seed stochastic =
-    let graph, routes = build_net ~d spec in
+    let graph, routes = Net_spec.build ~d spec in
     let nroutes = List.length routes in
     let per_route = Ratio.div rate (Ratio.of_int (max 1 (min d nroutes))) in
     let adv =
@@ -312,7 +305,7 @@ let simulate_cmd =
 let sweep_cmd =
   let net_arg =
     Arg.(
-      value & opt net_conv (Ring 8)
+      value & opt net_conv (Net_spec.Ring 8)
       & info [ "network" ] ~docv:"NET" ~doc:"Topology: line:K or ring:K.")
   in
   let d = Arg.(value & opt int 4 & info [ "hops"; "d" ] ~doc:"Route length.") in
@@ -324,7 +317,7 @@ let sweep_cmd =
       & info [ "rates" ] ~doc:"Comma-separated rates to test.")
   in
   let run spec d rates horizon =
-    let graph, routes = build_net ~d spec in
+    let graph, routes = Net_spec.build ~d spec in
     (* One intern table for the whole grid: every cell runs the same routes
        on the same graph, so each route is validated once per sweep. *)
     let route_table = Aqt_engine.Route_intern.create () in
@@ -1324,7 +1317,7 @@ let check_cmd =
       outcomes;
     List.for_all (fun (o : Faults.outcome) -> o.passed) outcomes
   in
-  let run_mutant_demo ?families () =
+  let run_mutant_demo ?families ?soa_domains () =
     (* The self-check that the differ can catch bugs: corrupt the engine
        arms five different ways and demand a shrunk reproducer each time.
        Each mutant only manifests on families whose scenarios exercise
@@ -1363,7 +1356,9 @@ let check_cmd =
           true
         end
         else
-          match Check.find_mutant_failure ~families:scan mutant with
+          match
+            Check.find_mutant_failure ~families:scan ?soa_domains mutant
+          with
           | Some (scenario, failure) ->
               Printf.printf "mutant %-16s caught: %s\n" name
                 (Format.asprintf "%a" Diff.pp_failure failure);
@@ -1379,7 +1374,7 @@ let check_cmd =
               false)
       mutants
   in
-  let run seeds base seed backend domains family faults mutant_demo quiet =
+  let run seeds base seed soa_domains family faults mutant_demo quiet =
     let ok = ref true in
     let families =
       match family with
@@ -1391,22 +1386,11 @@ let check_cmd =
                  match Gen.family_of_string name with
                  | Some f -> f
                  | None ->
-                     Printf.eprintf
-                       "unknown family %S (free|shared-bucket|windowed|leaky|capacity|local|feedback|fabric)\n"
-                       name;
+                     Printf.eprintf "unknown family %S (%s)\n" name
+                       (String.concat "|"
+                          (List.map Gen.family_name Gen.all_families));
                      exit 2)
                names)
-    in
-    (* [--backend soa] adds struct-of-arrays arms (one per domain count in
-       [--domains]) to the lockstep comparison alongside the record
-       engine. *)
-    let soa_domains =
-      match backend with
-      | "record" -> None
-      | "soa" -> Some (if domains = [] then [ 1 ] else domains)
-      | other ->
-          Printf.eprintf "unknown backend %S (record|soa)\n" other;
-          exit 2
     in
     (match seed with
     | Some k -> (
@@ -1438,7 +1422,8 @@ let check_cmd =
           if summary.Check.failures <> [] then ok := false
         end);
     if faults then if not (run_faults ()) then ok := false;
-    if mutant_demo then if not (run_mutant_demo ?families ()) then ok := false;
+    if mutant_demo then
+      if not (run_mutant_demo ?families ?soa_domains ()) then ok := false;
     if not !ok then exit 1
   in
   let seeds =
@@ -1460,24 +1445,6 @@ let check_cmd =
           ~doc:
             "Replay a single seed verbosely (prints the scenario, then the \
              verdict; shrinks on failure).  Overrides $(b,--seeds).")
-  in
-  let backend =
-    Arg.(
-      value & opt string "record"
-      & info [ "backend" ] ~docv:"ENGINE"
-          ~doc:
-            "$(b,record) (default) checks the record engine only; $(b,soa) \
-             additionally runs the struct-of-arrays engine in lockstep, one \
-             arm per domain count in $(b,--domains).")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "domains" ] ~docv:"N,..."
-          ~doc:
-            "Domain counts for the SoA arms (default 1).  Only meaningful \
-             with $(b,--backend soa).")
   in
   let family =
     Arg.(
@@ -1518,7 +1485,7 @@ let check_cmd =
           replayable by seed.  $(b,--faults) adds the campaign-harness \
           fault-injection self-test.")
     Term.(
-      const run $ seeds $ base $ seed $ backend $ domains $ family $ faults
+      const run $ seeds $ base $ seed $ soa_domains_term $ family $ faults
       $ mutant_demo $ quiet)
 
 (* ------------------------------------------------------------------ *)
@@ -1718,7 +1685,7 @@ let fabric_cmd =
   in
   let print_outcome (o : Scenario.outcome) =
     let c = Tbl.create ~headers:[ "metric"; "value" ] in
-    Tbl.add_row c [ "backend"; Scenario.backend_name o.backend ];
+    Tbl.add_row c [ "backend"; o.backend ];
     Tbl.add_row c [ "nodes"; Tbl.fi o.nodes ];
     Tbl.add_row c [ "edges"; Tbl.fi o.edges ];
     Tbl.add_row c [ "hosts"; Tbl.fi o.n_hosts ];
@@ -1736,7 +1703,7 @@ let fabric_cmd =
     Tbl.print c
   in
   let run list name_arg topo pattern util conns policy capacity horizon drain
-      seed backend domains =
+      seed soa_domains =
     if list then begin
       let tbl =
         Tbl.create
@@ -1771,19 +1738,19 @@ let fabric_cmd =
             Scenario.make ~topo ~pattern ~utilisation:util
               ~conns_per_pair:conns ~policy ~capacity ~horizon ~drain ~seed ()
       in
-      let backend =
-        match backend with
-        | "record" -> Scenario.Record
-        | "soa" -> Scenario.Soa domains
-        | other ->
-            Printf.eprintf "unknown backend %S (record|soa)\n" other;
-            exit 2
-      in
       let _, compiled = Scenario.compile base in
       print_endline (Traffic.describe compiled);
-      let o = Scenario.run ~backend base in
-      print_outcome o;
-      if not o.Scenario.legal then exit 1
+      let backends =
+        match soa_domains with
+        | None -> [ `Record ]
+        | Some ds -> List.map (fun d -> `Soa d) ds
+      in
+      let outcomes =
+        List.map (fun backend -> Scenario.run ~backend base) backends
+      in
+      List.iter print_outcome outcomes;
+      if not (List.for_all (fun (o : Scenario.outcome) -> o.legal) outcomes)
+      then exit 1
     end
   in
   let list =
@@ -1854,18 +1821,6 @@ let fabric_cmd =
   let seed =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"K" ~doc:"Workload seed.")
   in
-  let backend =
-    Arg.(
-      value & opt string "record"
-      & info [ "backend" ] ~docv:"ENGINE"
-          ~doc:"$(b,record) (default) or $(b,soa).")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Domain count for $(b,--backend soa).")
-  in
   Cmd.v
     (Cmd.info "fabric"
        ~doc:
@@ -1877,7 +1832,7 @@ let fabric_cmd =
           the admissibility check fails.")
     Term.(
       const run $ list $ name_arg $ topo $ pattern $ util $ conns $ policy
-      $ capacity $ horizon $ drain $ seed $ backend $ domains)
+      $ capacity $ horizon $ drain $ seed $ soa_domains_term)
 
 let () =
   let doc = "adversarial queuing theory simulator (Lotker-Patt-Shamir-Rosen)" in

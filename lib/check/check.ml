@@ -28,15 +28,15 @@ let run_seeds ?families ?mutant ?soa_domains ?(base = 0) ?progress ~n () =
   done;
   { seeds_run = n; failures = List.rev !failures }
 
-let find_mutant_failure ?families ?(max_seeds = 100) mutant =
+let find_mutant_failure ?families ?soa_domains ?(max_seeds = 100) mutant =
   let rec scan seed =
     if seed >= max_seeds then None
     else
-      match run_seed ?families ~mutant seed with
+      match run_seed ?families ~mutant ?soa_domains seed with
       | None -> scan (seed + 1)
       | Some original ->
           Some
-            (Shrink.minimize ~run:(Diff.run ~mutant)
+            (Shrink.minimize ~run:(Diff.run ~mutant ?soa_domains)
                (Gen.generate ?families seed)
                original)
   in

@@ -43,12 +43,15 @@ val run_seeds :
 
 val find_mutant_failure :
   ?families:Gen.family list ->
+  ?soa_domains:int list ->
   ?max_seeds:int ->
   Diff.mutant ->
   (Gen.scenario * Diff.failure) option
 (** Scan seeds until the mutant makes one diverge, then shrink it.  This
     is the self-check that the differ can actually catch engine bugs —
-    used by the test suite and by [aqt_sim check --mutant-demo]. *)
+    used by the test suite and by [aqt_sim check --mutant-demo].
+    [soa_domains] adds struct-of-arrays arms as in {!Diff.run}; the mutant
+    corrupts them too. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** Human-readable report: pass line, or per-failure the seed, the

@@ -1,13 +1,14 @@
-(** Differential execution: reference model vs. the fast engine.
+(** Differential execution: reference model vs. the engines.
 
-    One scenario is executed three ways in lockstep — the naive
-    {!Ref_model}, the engine on its zero-allocation fast path
-    ([recycle:true], no tracer), and the engine with a {!Aqt_engine.Trace}
-    collector attached (the traced and untraced step loops are distinct
-    code paths; both must conform).  After every step the full observable
-    state is compared packet-by-packet: per-edge buffer contents in policy
-    order, with each packet's id, injection time, hop, buffered-at time
-    and full route.  The first mismatching step is reported precisely,
+    One scenario is executed in lockstep on the naive {!Ref_model} and on
+    a list of engine arms, each an {!Aqt_engine.Backend.t}: ["fast"], the
+    record engine on its zero-allocation fast path; ["traced"], the record
+    engine with a {!Aqt_engine.Trace} collector attached (the traced and
+    untraced step loops are distinct code paths; both must conform); and
+    one ["soa-dN"] per requested domain count.  Every check below runs over
+    that list.  After every step the full observable state is compared
+    packet-by-packet: per-edge buffer contents in policy order, with each
+    packet's id, injection time, hop, buffered-at time and full route.  The first mismatching step is reported precisely,
     which is what makes shrinking cheap.
 
     After the run, the invariant layer checks:
@@ -25,7 +26,8 @@
       initial + injected = absorbed + in flight + dropped;
     - every scenario obligation: {!Aqt_adversary.Rate_check} admissibility
       for the scenario's adversary class, and the Theorem 4.1/4.3 dwell
-      bound via [Aqt.Stability.verify_run] where a theorem applies.
+      bound ({!Aqt.Stability.dwell_bound}) where a theorem applies,
+      checked on the fast arm.
 
     A {!mutant} deliberately corrupts the {e engine-side} execution while
     leaving the reference untouched; the committed test suite uses mutants

@@ -1,11 +1,9 @@
 (* One network, two engines.
 
    [Network] is the reference record engine; [Soa] is the struct-of-arrays
-   core with optional domain-partitioned stepping.  This module lets run
-   loops and the CLI pick one with [~backend:`Soa ~domains:n] while keeping
-   a single stepping and observation surface — callers that need
-   engine-specific machinery (tracers, per-packet reroutes) keep talking to
-   the concrete engine through [net] / [soa]. *)
+   core with optional domain-partitioned stepping.  Every caller that runs
+   "an engine" — the differ's arms, fabric scenarios — goes through this
+   one stepping, rerouting and observation surface. *)
 
 type injection = Network.injection = { route : int array; tag : string }
 
@@ -17,19 +15,15 @@ let create ?log_injections ?validate_routes ?tie_order ?capacity
   | `Record ->
       Record
         (Network.create ?log_injections ?validate_routes ?tie_order ?capacity
-           ~graph ~policy ())
+           ~recycle:true ~graph ~policy ())
   | `Soa domains ->
       Soa
         (Soa.create ?log_injections ?validate_routes ?tie_order ?capacity
            ~domains ~graph ~policy ())
 
-let net = function Record n -> Some n | Soa _ -> None
-let soa = function Soa s -> Some s | Record _ -> None
-
-let kind = function Record _ -> "record" | Soa s ->
-  if Soa.domains s = 1 then "soa" else Printf.sprintf "soa-d%d" (Soa.domains s)
-
-let domains = function Record _ -> 1 | Soa s -> Soa.domains s
+let kind = function
+  | Record _ -> "record"
+  | Soa s -> Printf.sprintf "soa-d%d" (Soa.domains s)
 
 let place_initial t ?tag route =
   match t with
@@ -41,12 +35,52 @@ let step t injections =
   | Record n -> Network.step n injections
   | Soa s -> Soa.step s injections
 
-(* Release pooled worker domains.  A no-op for the record engine and for
-   single-domain SoA instances; parallel instances must be shut down (the
-   runtime caps the number of live domains). *)
+(* Selection happens before any rewrite, so a reroute cannot change which
+   packets the predicate sees. *)
+let reroute_where t pred suffix =
+  match t with
+  | Soa s -> Soa.reroute_where s pred suffix
+  | Record n ->
+      let victims = ref [] in
+      Network.iter_buffered
+        (fun p ->
+          if
+            pred ~id:p.Packet.id ~edge:(Packet.current_edge p)
+              ~remaining:(Packet.remaining p)
+          then victims := p :: !victims)
+        n;
+      List.iter (fun p -> Network.reroute n p suffix) !victims
+
 let shutdown = function Record _ -> () | Soa s -> Soa.shutdown s
 
-let now = function Record n -> Network.now n | Soa s -> Soa.now s
+type view = Soa.view = {
+  v_id : int;
+  v_injected_at : int;
+  v_hop : int;
+  v_buffered_at : int;
+  v_route : int array;
+}
+
+let view_of_packet (p : Packet.t) =
+  {
+    v_id = p.id;
+    v_injected_at = p.injected_at;
+    v_hop = p.hop;
+    v_buffered_at = p.buffered_at;
+    v_route = p.route;
+  }
+
+let graph = function Record n -> Network.graph n | Soa s -> Soa.graph s
+
+let buffer_len t e =
+  match t with
+  | Record n -> Network.buffer_len n e
+  | Soa s -> Soa.buffer_len s e
+
+let buffer_packets t e =
+  match t with
+  | Record n -> List.map view_of_packet (Network.buffer_packets n e)
+  | Soa s -> Soa.buffer_packets s e
 
 let in_flight = function
   | Record n -> Network.in_flight n
@@ -70,6 +104,11 @@ let displaced = function
   | Record n -> Network.displaced n
   | Soa s -> Soa.displaced s
 
+let dropped_on_edge t e =
+  match t with
+  | Record n -> Network.dropped_on_edge n e
+  | Soa s -> Soa.dropped_on_edge s e
+
 let occupancy = function
   | Record n -> Network.occupancy n
   | Soa s -> Soa.occupancy s
@@ -82,13 +121,23 @@ let max_queue_ever = function
   | Record n -> Network.max_queue_ever n
   | Soa s -> Soa.max_queue_ever s
 
-let current_max_queue = function
-  | Record n -> Network.current_max_queue n
-  | Soa s -> Soa.current_max_queue s
+let max_queue_of_edge t e =
+  match t with
+  | Record n -> Network.max_queue_of_edge n e
+  | Soa s -> Soa.max_queue_of_edge s e
+
+let sent_on_edge t e =
+  match t with
+  | Record n -> Network.sent_on_edge n e
+  | Soa s -> Soa.sent_on_edge s e
 
 let max_dwell = function
   | Record n -> Network.max_dwell n
   | Soa s -> Soa.max_dwell s
+
+let max_pending_dwell = function
+  | Record n -> Network.max_pending_dwell n
+  | Soa s -> Soa.max_pending_dwell s
 
 let delivered_latency_max = function
   | Record n -> Network.delivered_latency_max n
@@ -98,32 +147,15 @@ let delivered_latency_mean = function
   | Record n -> Network.delivered_latency_mean n
   | Soa s -> Soa.delivered_latency_mean s
 
-let buffer_len t e =
-  match t with
-  | Record n -> Network.buffer_len n e
-  | Soa s -> Soa.buffer_len s e
+let reroute_count = function
+  | Record n -> Network.reroute_count n
+  | Soa s -> Soa.reroute_count s
 
-let observe recorder t =
+let last_injection_on t e =
   match t with
-  | Record n -> Recorder.observe recorder n
-  | Soa s ->
-      Recorder.observe_raw recorder ~now:(Soa.now s)
-        ~in_flight:(Soa.in_flight s) ~cur_max_queue:(Soa.current_max_queue s)
-        ~absorbed:(Soa.absorbed s) ~dropped:(Soa.dropped s)
-        ~max_dwell:(Soa.max_dwell s) ~gc_domains:(Soa.domains s)
-        ~extra_minor_words:(Soa.worker_minor_words s)
+  | Record n -> Network.last_injection_on n e
+  | Soa s -> Soa.last_injection_on s e
 
-(* The batched fast path, as [Sim.run_steps] but over either engine.
-   [injections_at] receives the step number about to execute. *)
-let run_steps ?recorder t ~injections_at n =
-  if n < 0 then invalid_arg "Backend.run_steps: negative step count";
-  match recorder with
-  | None ->
-      for _ = 1 to n do
-        step t (injections_at (now t + 1))
-      done
-  | Some r ->
-      for _ = 1 to n do
-        step t (injections_at (now t + 1));
-        observe r t
-      done
+let injection_log = function
+  | Record n -> Network.injection_log n
+  | Soa s -> Soa.injection_log s

@@ -6,10 +6,9 @@
     {!Aqt_graph.Build.fat_tree} supply the topology and ECMP route sets,
     {!Aqt_workload.Traffic} compiles the flow-level workload into an
     admissible per-step schedule, and [run] replays that schedule through
-    the record engine ({!Aqt_engine.Network}) or the struct-of-arrays
-    engine ({!Aqt_engine.Soa}).  The two backends produce identical
-    trajectories; the fabric conformance family ([aqt_sim check --family
-    fabric]) holds them to that. *)
+    either engine behind {!Aqt_engine.Backend}.  The two engines produce
+    identical trajectories; the fabric conformance family ([aqt_sim check
+    --family fabric]) holds them to that. *)
 
 type topo =
   | Spine_leaf of { spines : int; leaves : int; hosts_per_leaf : int }
@@ -17,12 +16,6 @@ type topo =
 
 val topo_name : topo -> string
 val build_topo : topo -> Aqt_graph.Build.fabric
-
-type backend =
-  | Record  (** {!Aqt_engine.Network} with packet recycling. *)
-  | Soa of int  (** {!Aqt_engine.Soa} with the given domain count. *)
-
-val backend_name : backend -> string
 
 type t = {
   name : string;
@@ -61,7 +54,7 @@ val compile : t -> Aqt_graph.Build.fabric * Aqt_workload.Traffic.compiled
 
 type outcome = {
   scenario : t;
-  backend : backend;
+  backend : string;  (** {!Aqt_engine.Backend.kind} of the engine that ran. *)
   nodes : int;
   edges : int;
   n_hosts : int;
@@ -81,10 +74,11 @@ type outcome = {
           [(rate, sigmas)] budget. *)
 }
 
-val run : ?backend:backend -> t -> outcome
+val run : ?backend:[ `Record | `Soa of int ] -> t -> outcome
 (** Replay the compiled schedule for [horizon] steps plus [drain]
-    injection-free steps.  Deterministic: same scenario, same backend
-    (and any domain count), same outcome. *)
+    injection-free steps on the engine {!Aqt_engine.Backend.create} selects
+    (default [`Record]).  Deterministic: same scenario, same outcome on
+    either engine and any domain count. *)
 
 val catalog : unit -> t list
 (** Canned scenarios for [aqt_sim fabric --list]. *)

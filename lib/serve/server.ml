@@ -2,7 +2,7 @@ module Ratio = Aqt_util.Ratio
 module Prng = Aqt_util.Prng
 module Jsonx = Aqt_util.Jsonx
 module Parallel = Aqt_util.Parallel
-module Build = Aqt_graph.Build
+module Net_spec = Aqt_graph.Net_spec
 module Network = Aqt_engine.Network
 module Sim = Aqt_engine.Sim
 module Policies = Aqt_policy.Policies
@@ -286,52 +286,14 @@ let q_int q key default =
       | None -> bad "parameter %s: expected an integer, got %S" key v)
 
 let parse_ratio ~what s =
-  let s = String.trim s in
-  match String.index_opt s '/' with
-  | Some i -> (
-      let num = int_of_string_opt (String.sub s 0 i)
-      and den =
-        int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-      in
-      match (num, den) with
-      | Some p, Some q when q <> 0 -> Ratio.make p q
-      | _ -> bad "%s: bad rational %S" what s)
-  | None -> (
-      match float_of_string_opt s with
-      | Some f when Float.is_finite f -> Ratio.of_float_approx f
-      | _ -> bad "%s: bad rate %S" what s)
-
-type net_spec = Line of int | Ring of int
-
-let net_spec_to_string = function
-  | Line k -> Printf.sprintf "line:%d" k
-  | Ring k -> Printf.sprintf "ring:%d" k
+  match Ratio.of_string s with Ok r -> r | Error e -> bad "%s: %s" what e
 
 let max_net_size = 4096
 
 let parse_net s =
-  let size k lo =
-    match int_of_string_opt k with
-    | Some k when k >= lo && k <= max_net_size -> k
-    | Some _ -> bad "network %S: size out of range [%d, %d]" s lo max_net_size
-    | None -> bad "network %S: bad size" s
-  in
-  match String.split_on_char ':' (String.trim s) with
-  | [ "line"; k ] -> Line (size k 1)
-  | [ "ring"; k ] -> Ring (size k 3)
-  | _ -> bad "unknown network %S (line:K | ring:K)" s
-
-let build_net ~d = function
-  | Line k ->
-      let l = Build.line k in
-      let d = min d k in
-      (l.Build.graph, List.init (k - d + 1) (fun i -> Array.sub l.Build.edges i d))
-  | Ring k ->
-      let r = Build.ring k in
-      let d = min d (k - 1) in
-      ( r.Build.graph,
-        List.init k (fun i ->
-            Array.init d (fun j -> r.Build.edges.((i + j) mod k))) )
+  match Net_spec.parse ~max_size:max_net_size s with
+  | Ok spec -> spec
+  | Error e -> bad "%s" e
 
 let resolve_policy name =
   let name = String.trim name in
@@ -357,7 +319,7 @@ let json ?(status = 200) j =
 (* ------------------------------------------------------------------ *)
 
 type sweep_params = {
-  sp_net : net_spec;
+  sp_net : Net_spec.t;
   sp_d : int;
   sp_horizon : int;
   sp_rates : Ratio.t list;
@@ -445,7 +407,7 @@ let sweep_params_of_json body =
 let sweep_spec p =
   [
     ("version", Spec.Int 1);
-    ("network", Spec.Str (net_spec_to_string p.sp_net));
+    ("network", Spec.Str (Net_spec.to_string p.sp_net));
     ("d", Spec.Int p.sp_d);
     ("horizon", Spec.Int p.sp_horizon);
     ( "rates",
@@ -464,7 +426,7 @@ let sweep_spec p =
    domains; each cell interns its own routes, which costs a little
    duplicate work in exchange for no shared mutable state. *)
 let compute_sweep ?(shards = 1) p =
-  let graph, routes = build_net ~d:p.sp_d p.sp_net in
+  let graph, routes = Net_spec.build ~d:p.sp_d p.sp_net in
   let cells =
     List.concat_map
       (fun policy -> List.map (fun rate -> (policy, rate)) p.sp_rates)
@@ -647,7 +609,7 @@ let simulate_handler t rng q =
            seeds, and the chosen seed is reported so the run can be replayed. *)
         Int64.to_int (Prng.bits64 rng) land 0x3FFFFFFF
   in
-  let graph, routes = build_net ~d spec in
+  let graph, routes = Net_spec.build ~d spec in
   let nroutes = List.length routes in
   let per_route = Ratio.div rate (Ratio.of_int (max 1 (min d nroutes))) in
   let adv =
@@ -685,7 +647,7 @@ let simulate_handler t rng q =
   json
     (Jsonx.Obj
        [
-         ("network", Jsonx.Str (net_spec_to_string spec));
+         ("network", Jsonx.Str (Net_spec.to_string spec));
          ("policy", Jsonx.Str policy.Aqt_engine.Policy_type.name);
          ("rate", Jsonx.Str (Ratio.to_string rate));
          ("adversary", Jsonx.Str adv.Stock.name);

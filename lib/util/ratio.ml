@@ -76,3 +76,18 @@ let pp fmt r =
   else Format.fprintf fmt "%d/%d" r.p r.q
 
 let to_string r = Format.asprintf "%a" pp r
+
+let of_string s =
+  let s = String.trim s in
+  match String.index_opt s '/' with
+  | Some i -> (
+      match
+        ( int_of_string_opt (String.sub s 0 i),
+          int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) )
+      with
+      | Some p, Some q when q <> 0 -> Ok (make p q)
+      | _ -> Error (Printf.sprintf "bad rational %S" s))
+  | None -> (
+      match float_of_string_opt s with
+      | Some f when Float.is_finite f -> Ok (of_float_approx f)
+      | _ -> Error (Printf.sprintf "bad rate %S" s))

@@ -61,5 +61,10 @@ val of_float_approx : ?max_den:int -> float -> t
 (** Best rational approximation with denominator [<= max_den] (default 10_000),
     by continued fractions.  Used only to parse command-line rates. *)
 
+val of_string : string -> (t, string) result
+(** Parses ["P/Q"] (with [Q <> 0]) or a finite decimal (approximated by
+    {!of_float_approx}); surrounding blanks are ignored.  The error is
+    ["bad rational \"...\""] or ["bad rate \"...\""]. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -159,6 +159,46 @@ let build_in_tree () =
     t.leaves;
   check_int "root alpha" 2 (D.in_degree t.graph t.root)
 
+(* Named networks: one parser for the CLI and the serve API. *)
+
+let net_spec_parse () =
+  let module N = Aqt_graph.Net_spec in
+  List.iter
+    (fun n ->
+      let s = N.to_string n in
+      check_bool ("round-trip " ^ s) true (N.parse ~max_size:max_int s = Ok n))
+    [ N.Line 1; N.Line 7; N.Ring 3; N.Ring 100 ];
+  check_bool "blanks" true (N.parse ~max_size:8 " ring:8 " = Ok (N.Ring 8));
+  let rejects ~max_size s msg =
+    Alcotest.(check (result reject string))
+      s (Error msg)
+      (Result.map ignore (N.parse ~max_size s))
+  in
+  rejects ~max_size:max_int "line:0"
+    "network \"line:0\": size must be at least 1";
+  rejects ~max_size:max_int "ring:2"
+    "network \"ring:2\": size must be at least 3";
+  rejects ~max_size:4096 "ring:0"
+    "network \"ring:0\": size out of range [3, 4096]";
+  rejects ~max_size:4096 "line:4097"
+    "network \"line:4097\": size out of range [1, 4096]";
+  rejects ~max_size:8 "ring:x" "network \"ring:x\": bad size";
+  rejects ~max_size:8 "star:4"
+    "unknown network \"star:4\" (line:K | ring:K)"
+
+let net_spec_build () =
+  let module N = Aqt_graph.Net_spec in
+  let g, routes = N.build ~d:4 (N.Ring 5) in
+  check_int "ring edges" 5 (D.n_edges g);
+  check_int "one route per start edge" 5 (List.length routes);
+  check_bool "ring routes simple, length 4" true
+    (List.for_all
+       (fun r -> Array.length r = 4 && D.route_is_simple g r)
+       routes);
+  let g, routes = N.build ~d:9 (N.Line 3) in
+  check_int "line edges" 3 (D.n_edges g);
+  check_bool "d clamps to the line" true (routes = [ [| 0; 1; 2 |] ])
+
 (* Parameter validation (clear messages, not asserts). *)
 
 let builder_rejects () =
@@ -348,6 +388,8 @@ let () =
           Alcotest.test_case "grid" `Quick build_grid;
           Alcotest.test_case "in-tree" `Quick build_in_tree;
           Alcotest.test_case "rejections" `Quick builder_rejects;
+          Alcotest.test_case "named networks parse" `Quick net_spec_parse;
+          Alcotest.test_case "named networks build" `Quick net_spec_build;
           q prop_random_dag;
           q prop_shortest_path_minimal;
         ] );

@@ -80,6 +80,26 @@ let ratio_to_string () =
   check_string "fraction" "3/7" (Ratio.to_string (Ratio.make 3 7));
   check_string "integer" "2" (Ratio.to_string (Ratio.of_int 2))
 
+let ratio_of_string () =
+  let parses s r =
+    check_bool s true
+      (match Ratio.of_string s with Ok x -> Ratio.equal x r | Error _ -> false)
+  in
+  parses "3/7" (Ratio.make 3 7);
+  parses " 6/4 " (Ratio.make 3 2);
+  parses "0.25" (Ratio.make 1 4);
+  List.iter
+    (fun r -> parses (Ratio.to_string r) r)
+    [ Ratio.make 3 7; Ratio.make (-1) 2; Ratio.of_int 5 ];
+  let rejects s msg =
+    check_bool s true (Ratio.of_string s = Error msg)
+  in
+  rejects "1/0" "bad rational \"1/0\"";
+  rejects "1/x" "bad rational \"1/x\"";
+  rejects "nan" "bad rate \"nan\"";
+  rejects "inf" "bad rate \"inf\"";
+  rejects "" "bad rate \"\""
+
 let small_ratio =
   QCheck.map
     (fun (p, q) -> Ratio.make p q)
@@ -655,6 +675,7 @@ let () =
           q prop_ratio_mul_assoc;
           q prop_ratio_floor_mul;
           q prop_ratio_floor_ceil_adjacent;
+          Alcotest.test_case "of_string" `Quick ratio_of_string;
         ] );
       ( "dynarray",
         [
