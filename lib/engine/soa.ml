@@ -114,10 +114,6 @@ type pool = {
   mutable busy : int;
   mutable stopping : bool;
   mutable failure : (exn * Printexc.raw_backtrace) option;
-  (* Cumulative minor words allocated inside jobs, per worker.  OCaml 5 GC
-     counters are per-domain, so the main domain's [Gc.minor_words] misses
-     everything the workers allocate; [Recorder] adds this in. *)
-  worker_minor_words : float array;
 }
 
 let pool_worker pool idx () =
@@ -136,15 +132,12 @@ let pool_worker pool idx () =
       seen := pool.epoch;
       let job = Option.get pool.job in
       Mutex.unlock pool.lock;
-      let before = Gc.minor_words () in
       let failed =
         try
           job idx;
           None
         with e -> Some (e, Printexc.get_raw_backtrace ())
       in
-      pool.worker_minor_words.(idx - 1) <-
-        pool.worker_minor_words.(idx - 1) +. (Gc.minor_words () -. before);
       Mutex.lock pool.lock;
       (match failed with
       | Some _ when pool.failure = None -> pool.failure <- failed
@@ -168,7 +161,6 @@ let pool_create size =
       busy = 0;
       stopping = false;
       failure = None;
-      worker_minor_words = Array.make (max 1 (size - 1)) 0.0;
     }
   in
   pool.workers <-
@@ -1576,11 +1568,3 @@ let injection_log t =
 
 let initial_final_routes t =
   Array.map (fun (_, _, route) -> route) (full_log t ~want_initial:true)
-
-(* Worker-domain allocation since creation, for GC-aware recorders: the
-   main domain's [Gc.minor_words] does not see worker allocation (OCaml 5
-   counters are per-domain). *)
-let worker_minor_words t =
-  match t.pool with
-  | None -> 0.0
-  | Some pool -> Array.fold_left ( +. ) 0.0 pool.worker_minor_words

@@ -125,7 +125,7 @@ val initial_final_routes : t -> int array array
 (** As {!Network.initial_final_routes}.
     @raise Invalid_argument without [log_injections]. *)
 
-(** {1 Introspection for tests and recorders} *)
+(** {1 Introspection for tests} *)
 
 val pooled : t -> int
 (** Recycled packet slots currently on the free stack. *)
@@ -138,8 +138,3 @@ val arena_words : t -> int * int
 (** [(used, capacity)] in words across the route arena and every partition's
     buffer arena — growth tests assert geometric bounds on the ratio. *)
 
-val worker_minor_words : t -> float
-(** Cumulative minor-heap words allocated by the worker domains of this
-    instance's pool (0 when [domains = 1]).  Add to the main domain's
-    [Gc.minor_words] for a process-wide figure: OCaml 5 GC counters are
-    per-domain. *)

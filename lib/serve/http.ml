@@ -296,7 +296,7 @@ module Parser = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Incremental response parser (load-generator side)                   *)
+(* Incremental response parser                                        *)
 (* ------------------------------------------------------------------ *)
 
 type response = {
@@ -333,7 +333,7 @@ module Rparser = struct
         | None -> raise (Err (Malformed "bad status code")))
     | _ -> raise (Err (Malformed "bad status line"))
 
-  let rec next t : outcome =
+  let rec next ~head t : outcome =
     match t.state with
     | Broken e -> `Error e
     | Body { status; resp_headers; need } ->
@@ -352,135 +352,35 @@ module Rparser = struct
             match Parser.head_lines t.p body_off with
             | [] -> `Error (Malformed "bad status line")
             | status_line :: header_lines ->
+                if List.length header_lines > t.p.Parser.lim.Parser.max_headers
+                then raise (Err (Too_large "headers"));
                 let status = parse_status_line status_line in
                 let resp_headers = List.map parse_header_line header_lines in
+                (* A HEAD answer carries its entity's Content-Length but
+                   no body (RFC 9112 §6.3). *)
                 let need =
-                  match List.assoc_opt "content-length" resp_headers with
-                  | None -> raise (Err (Malformed "missing content-length"))
-                  | Some v -> (
-                      match int_of_string_opt (String.trim v) with
-                      | Some n when n >= 0 && n <= t.p.Parser.lim.Parser.max_body
-                        ->
-                          n
-                      | _ -> raise (Err (Malformed "bad content-length")))
+                  if head then 0
+                  else
+                    match List.assoc_opt "content-length" resp_headers with
+                    | None -> raise (Err (Malformed "missing content-length"))
+                    | Some v -> (
+                        match int_of_string_opt (String.trim v) with
+                        | Some n
+                          when n >= 0 && n <= t.p.Parser.lim.Parser.max_body ->
+                            n
+                        | _ -> raise (Err (Malformed "bad content-length")))
                 in
                 Parser.consume t.p body_off;
                 t.state <- Body { status; resp_headers; need };
-                next t))
+                next ~head t))
 
-  let next t : outcome =
-    match next t with
+  let next ?(head = false) t : outcome =
+    match next ~head t with
     | outcome -> outcome
     | exception Err e ->
         t.state <- Broken e;
         `Error e
 end
-
-(* ------------------------------------------------------------------ *)
-(* Buffered blocking reading (client side)                             *)
-(* ------------------------------------------------------------------ *)
-
-type reader = {
-  fd : Unix.file_descr;
-  buf : Bytes.t;
-  mutable lo : int;
-  mutable hi : int;
-}
-
-let reader fd = { fd; buf = Bytes.create 8192; lo = 0; hi = 0 }
-
-let rec refill r =
-  match Unix.read r.fd r.buf 0 (Bytes.length r.buf) with
-  | 0 -> raise (Err Closed)
-  | n ->
-      r.lo <- 0;
-      r.hi <- n
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      raise (Err Timeout)
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill r
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      raise (Err Closed)
-
-let read_byte r =
-  if r.lo >= r.hi then refill r;
-  let c = Bytes.get r.buf r.lo in
-  r.lo <- r.lo + 1;
-  c
-
-(* One header/request line, CRLF (or bare LF) terminated, CR stripped. *)
-let read_line r ~max =
-  let buf = Buffer.create 64 in
-  let rec go () =
-    match read_byte r with
-    | '\n' ->
-        let s = Buffer.contents buf in
-        let l = String.length s in
-        if l > 0 && s.[l - 1] = '\r' then String.sub s 0 (l - 1) else s
-    | c ->
-        if Buffer.length buf >= max then raise (Err (Too_large "line"));
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ()
-
-let read_exact r n =
-  let buf = Buffer.create n in
-  let rec go () =
-    if Buffer.length buf >= n then Buffer.contents buf
-    else begin
-      if r.lo >= r.hi then refill r;
-      let take = min (r.hi - r.lo) (n - Buffer.length buf) in
-      Buffer.add_subbytes buf r.buf r.lo take;
-      r.lo <- r.lo + take;
-      go ()
-    end
-  in
-  go ()
-
-let read_to_eof r ~max =
-  let buf = Buffer.create 256 in
-  let rec go () =
-    match refill r with
-    | () ->
-        if Buffer.length buf + (r.hi - r.lo) > max then
-          raise (Err (Too_large "body"));
-        Buffer.add_subbytes buf r.buf r.lo (r.hi - r.lo);
-        r.lo <- r.hi;
-        go ()
-    | exception Err Closed -> Buffer.contents buf
-  in
-  (* Anything still buffered counts too. *)
-  Buffer.add_subbytes buf r.buf r.lo (r.hi - r.lo);
-  r.lo <- r.hi;
-  go ()
-
-(* ------------------------------------------------------------------ *)
-(* Blocking request parsing (tests feed via socketpair)                *)
-(* ------------------------------------------------------------------ *)
-
-let read_headers r ~max_line ~max_headers =
-  let rec go acc k =
-    let line = read_line r ~max:max_line in
-    if line = "" then List.rev acc
-    else if k >= max_headers then raise (Err (Too_large "headers"))
-    else go (parse_header_line line :: acc) (k + 1)
-  in
-  go [] 0
-
-let read_request ?(max_line = 8192) ?(max_headers = 64)
-    ?(max_body = 1_048_576) fd =
-  let r = reader fd in
-  try
-    let line = read_line r ~max:max_line in
-    (* Tolerate one leading blank line (RFC 9112 §2.2). *)
-    let line = if line = "" then read_line r ~max:max_line else line in
-    let meth, target, version = parse_request_line line in
-    let headers = read_headers r ~max_line ~max_headers in
-    let need = content_length_of headers ~max_body in
-    let body = if need = 0 then "" else read_exact r need in
-    let path, query = split_target target in
-    Ok { meth; target; path; query; headers; body; version }
-  with Err e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* Response writing                                                    *)
@@ -526,10 +426,6 @@ let rec write_all fd s off len =
     | n -> write_all fd s (off + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
 
-let write_response ?(headers = []) ?(head_only = false) fd ~status ~body =
-  let s = encode_response ~headers ~head_only ~keep_alive:false ~status ~body () in
-  write_all fd s 0 (String.length s)
-
 (* ------------------------------------------------------------------ *)
 (* Loopback clients                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -545,51 +441,14 @@ let encode_request ?(meth = "GET") ?(req_headers = []) ?body path =
   | None -> Buffer.add_string buf "\r\n");
   Buffer.contents buf
 
-let read_response ?(head = false) r =
-  let status_line = read_line r ~max:8192 in
-  let status =
-    match List.filter (( <> ) "") (String.split_on_char ' ' status_line) with
-    | _ :: code :: _ -> (
-        match int_of_string_opt code with
-        | Some c -> c
-        | None -> raise (Err (Malformed "bad status code")))
-    | _ -> raise (Err (Malformed "bad status line"))
-  in
-  let resp_headers = read_headers r ~max_line:8192 ~max_headers:256 in
-  let body =
-    if head then ""
-    else
-      match List.assoc_opt "content-length" resp_headers with
-      | Some v -> (
-          match int_of_string_opt (String.trim v) with
-          | Some n when n >= 0 && n <= 16_777_216 -> read_exact r n
-          | _ -> raise (Err (Malformed "bad content-length")))
-      | None -> read_to_eof r ~max:16_777_216
-  in
-  { status; resp_headers; body }
-
-let request ?(timeout = 5.0) ?(meth = "GET") ?(req_headers = []) ?body ~port
-    path =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-        Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        let req_headers = ("Connection", "close") :: req_headers in
-        let s = encode_request ~meth ~req_headers ?body path in
-        write_all fd s 0 (String.length s);
-        let r = reader fd in
-        Ok (read_response ~head:(meth = "HEAD") r)
-      with
-      | Err e -> Error (error_to_string e)
-      | Unix.Unix_error (e, fn, _) ->
-          Error (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
 
 module Client = struct
-  type t = { fd : Unix.file_descr; r : reader; mutable closed : bool }
+  type t = {
+    fd : Unix.file_descr;
+    rp : Rparser.t; (* bytes past one response wait here for the next *)
+    buf : Bytes.t;
+    mutable closed : bool;
+  }
 
   let connect ?(timeout = 5.0) ~port () =
     let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -597,7 +456,7 @@ module Client = struct
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
       Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Ok { fd; r = reader fd; closed = false }
+      Ok { fd; rp = Rparser.create (); buf = Bytes.create 8192; closed = false }
     with Unix.Unix_error (e, fn, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
@@ -608,13 +467,30 @@ module Client = struct
       try Unix.close t.fd with Unix.Unix_error _ -> ()
     end
 
+  (* Feed socket reads to the parser until one response is complete;
+     SO_RCVTIMEO turns a stalled peer into EAGAIN. *)
+  let rec read_response t ~head =
+    match Rparser.next ~head t.rp with
+    | `Response r -> r
+    | `Error e -> raise (Err e)
+    | `Await ->
+        (match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
+        | 0 -> raise (Err Closed)
+        | n -> Rparser.feed t.rp t.buf 0 n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            raise (Err Timeout)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+            raise (Err Closed));
+        read_response t ~head
+
   let request t ?(meth = "GET") ?(req_headers = []) ?body path =
     if t.closed then Error "connection closed"
     else
       try
         let s = encode_request ~meth ~req_headers ?body path in
         write_all t.fd s 0 (String.length s);
-        Ok (read_response ~head:(meth = "HEAD") t.r)
+        Ok (read_response t ~head:(meth = "HEAD"))
       with
       | Err e ->
           close t;
@@ -623,3 +499,15 @@ module Client = struct
           close t;
           Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
 end
+
+let request ?(timeout = 5.0) ?(meth = "GET") ?(req_headers = []) ?body ~port
+    path =
+  match Client.connect ~timeout ~port () with
+  | Error _ as e -> e
+  | Ok c ->
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          Client.request c ~meth
+            ~req_headers:(("Connection", "close") :: req_headers)
+            ?body path)

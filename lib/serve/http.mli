@@ -1,24 +1,23 @@
 (** HTTP/1.1 codec for the serve plane.
 
-    Two parsing styles share one grammar:
+    One incremental parser per direction, both fed arbitrary byte chunks
+    and both resumable at any chunk boundary:
 
-    - {!read_request} — blocking, one request per call, used by tests
-      that feed a socketpair and by the {{!section-client} clients}.
-    - {!Parser} — incremental and non-blocking, fed arbitrary byte
-      chunks by the event loop; multiple pipelined requests can come out
-      of a single chunk, and one request can arrive split across any
+    - {!Parser} reads {e requests} — the daemon's event loop feeds it
+      whatever [read(2)] returned; several pipelined requests can come
+      out of one chunk, and one request can arrive split across any
       number of chunks.
+    - {!Rparser} reads {e responses} — the load generator drives it on
+      pipelined non-blocking connections, and the blocking
+      {{!section-client} clients} feed it from their socket until one
+      response is complete.
 
     Supported surface: [GET]/[HEAD]/[POST] with [Content-Length] bodies
     and keep-alive ({!wants_keep_alive} implements the HTTP/1.1 /
     HTTP/1.0 defaulting rules).  Hard caps on line length, header count
-    and body size bound what a hostile peer can make the daemon buffer.
+    and body size bound what a hostile peer can make either side buffer.
     Chunked transfer encoding is deliberately rejected — a simulation
-    service controls both ends of every connection.
-
-    {!Rparser} is the mirror image for the load generator: an
-    incremental parser of {e responses} on a pipelined client
-    connection. *)
+    service controls both ends of every connection. *)
 
 type request = {
   meth : string;  (** Upper-cased method, e.g. ["GET"]. *)
@@ -70,8 +69,7 @@ module Parser : sig
   type outcome = [ `Request of request | `Await | `Error of error ]
 
   val create : ?max_line:int -> ?max_headers:int -> ?max_body:int -> unit -> t
-  (** Defaults: 8 KiB lines, 64 headers, 1 MiB body — the same caps as
-      {!read_request}. *)
+  (** Defaults: 8 KiB lines, 64 headers, 1 MiB body. *)
 
   val feed : t -> bytes -> int -> int -> unit
   (** [feed p buf off len] appends [len] bytes of input.  The bytes are
@@ -102,27 +100,22 @@ module Rparser : sig
   type outcome = [ `Response of response | `Await | `Error of error ]
 
   val create : ?max_body:int -> unit -> t
-  (** [max_body] defaults to 16 MiB.  Responses must carry
-      [Content-Length] (ours always do) — pipelining leaves no other way
-      to delimit them. *)
+  (** Caps: 8 KiB lines, 256 headers, [max_body] (default 16 MiB).
+      Responses must carry [Content-Length] (ours always do) —
+      pipelining leaves no other way to delimit them. *)
 
   val feed : t -> bytes -> int -> int -> unit
   val feed_string : t -> string -> unit
-  val next : t -> outcome
+
+  val next : ?head:bool -> t -> outcome
+  (** Extract the next complete response.  [head] (default [false]) says
+      it answers a [HEAD] request: its [Content-Length] is kept but no
+      body follows (RFC 9112 §6.3).  The flag only matters on the call
+      that completes the response's header block.  Errors are sticky,
+      as for {!Parser}. *)
+
   val buffered : t -> int
 end
-
-(** {2 Blocking request parsing} *)
-
-val read_request :
-  ?max_line:int ->
-  ?max_headers:int ->
-  ?max_body:int ->
-  Unix.file_descr ->
-  (request, error) result
-(** Parse one request from [fd], blocking until it is complete.
-    Defaults: 8 KiB lines, 64 headers, 1 MiB body.  Never raises on
-    protocol or socket errors — they all land in [Error]. *)
 
 (** {2 Request encoding} *)
 
@@ -156,17 +149,6 @@ val encode_response :
     close).  [head_only] suppresses the body while keeping its length
     header (HEAD semantics). *)
 
-val write_response :
-  ?headers:(string * string) list ->
-  ?head_only:bool ->
-  Unix.file_descr ->
-  status:int ->
-  body:string ->
-  unit
-(** {!encode_response} with [keep_alive:false], written synchronously.
-    @raise Unix.Unix_error if the peer is gone or the send deadline
-    expires — callers count and drop, they do not retry. *)
-
 (** {2 Decoding helpers} (exposed for tests) *)
 
 val percent_decode : string -> string
@@ -185,9 +167,10 @@ val request :
   string ->
   (response, string) result
 (** [request ~port path] performs one HTTP exchange against
-    [127.0.0.1:port] with [timeout] (default 5 s) as both connect-read
-    and write deadline.  A [body] implies [Content-Length].  Sends
-    [Connection: close] — one request per connection. *)
+    [127.0.0.1:port] with [timeout] (default 5 s) as both read and write
+    deadline: {!Client.connect}, one {!Client.request} carrying
+    [Connection: close], then {!Client.close}.  A [body] implies
+    [Content-Length]. *)
 
 (** Persistent keep-alive client: one connection, sequential requests.
     Used by tests and the selftest to exercise connection reuse; the
@@ -206,8 +189,13 @@ module Client : sig
     ?body:string ->
     string ->
     (response, string) result
-  (** One exchange on the shared connection.  On any error the
-      connection is closed and further requests fail fast. *)
+  (** One exchange on the shared connection: write the request, then
+      feed socket reads to the connection's {!Rparser} until a response
+      is complete (bytes past it stay buffered for the next exchange).
+      A [HEAD] response is framed without a body.  The read deadline
+      expiring is a ["timeout"] error, end of stream before a complete
+      response a ["peer closed"] error.  On any error the connection is
+      closed and further requests fail fast. *)
 
   val close : t -> unit
 end

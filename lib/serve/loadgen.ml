@@ -564,19 +564,6 @@ let write_journal ~path (r : result) =
 (* Selftest                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_dir () =
-  let base = Filename.get_temp_dir_name () in
-  let rec go i =
-    let d =
-      Filename.concat base
-        (Printf.sprintf "aqt-loadgen-%d-%d" (Unix.getpid ()) i)
-    in
-    match Unix.mkdir d 0o755 with
-    | () -> d
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
-  in
-  go 0
-
 (* Fast-path endpoints (/healthz) bypass admission, so the envelope
    under test must be driven through a dispatched endpoint: a tiny
    seeded /simulate is the cheapest admitted request.  Sheds answer 429
@@ -592,6 +579,7 @@ let admitted_path =
 let selftest ?(quiet = false) ?(requests = 20_000) ?(conns = 64)
     ?(rho = 2000.) ?(sigma = 200) ?(snapshot_every = 0.)
     ?(emit = fun (_ : result) -> ()) () =
+  Selftest.with_temp_dir ~prefix:"aqt-loadgen" @@ fun dir ->
   let scfg =
     {
       Server.default_config with
@@ -608,7 +596,7 @@ let selftest ?(quiet = false) ?(requests = 20_000) ?(conns = 64)
       queue_capacity = 0;
       max_conns = conns + 64;
       max_pipeline = 32;
-      campaign_dir = fresh_dir ();
+      campaign_dir = dir;
       snapshot_every = 0.;
       journal = false;
       quiet = true;
@@ -616,19 +604,21 @@ let selftest ?(quiet = false) ?(requests = 20_000) ?(conns = 64)
   in
   let srv = Server.start scfg in
   let r =
-    run
-      {
-        default_config with
-        port = Server.port srv;
-        conns;
-        requests;
-        pipeline = 8;
-        paths = [ (1, admitted_path) ];
-        quiet;
-        snapshot_every;
-      }
+    Fun.protect
+      ~finally:(fun () -> Server.stop srv)
+      (fun () ->
+        run
+          {
+            default_config with
+            port = Server.port srv;
+            conns;
+            requests;
+            pipeline = 8;
+            paths = [ (1, admitted_path) ];
+            quiet;
+            snapshot_every;
+          })
   in
-  Server.stop srv;
   let failures = ref [] in
   let check label ok detail =
     if not ok then failures := label :: !failures;

@@ -1,18 +1,28 @@
 module Prng = Aqt_util.Prng
 module Jsonx = Aqt_util.Jsonx
 
-let fresh_dir () =
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let with_temp_dir ~prefix f =
   let base = Filename.get_temp_dir_name () in
   let rec go i =
     let d =
-      Filename.concat base
-        (Printf.sprintf "aqt-serve-selftest-%d-%d" (Unix.getpid ()) i)
+      Filename.concat base (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) i)
     in
     match Unix.mkdir d 0o755 with
     | () -> d
     | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
   in
-  go 0
+  let dir = go 0 in
+  Fun.protect
+    ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
+    (fun () -> f dir)
 
 (* [clients] domains, [each] sequential requests per domain; returns every
    response status, [-1] standing for "no complete response" (the failure
@@ -45,6 +55,7 @@ let cached_field body =
   | _ -> None
 
 let run ?(quiet = false) () =
+  with_temp_dir ~prefix:"aqt-serve-selftest" @@ fun dir ->
   let cfg =
     {
       Server.default_config with
@@ -55,7 +66,7 @@ let run ?(quiet = false) () =
       queue_capacity = 0;
       read_timeout = 2.;
       write_timeout = 2.;
-      campaign_dir = fresh_dir ();
+      campaign_dir = dir;
       snapshot_every = 0.;
       journal = false;
       (* Loopback is one peer: park the per-client layer out of the way
@@ -67,6 +78,7 @@ let run ?(quiet = false) () =
     }
   in
   let srv = Server.start cfg in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
   let port = Server.port srv in
   let m = Server.metrics srv in
   let shed = Metrics.counter m "serve_shed_total" in

@@ -21,3 +21,9 @@
     State (cache, no journal) lives in a throwaway temp directory. *)
 
 val run : ?quiet:bool -> unit -> bool
+
+val with_temp_dir : prefix:string -> (string -> 'a) -> 'a
+(** [with_temp_dir ~prefix f] creates a fresh directory
+    [$TMPDIR/<prefix>-<pid>-<n>], passes it to [f] and removes it with
+    everything inside once [f] returns or raises.  The self-tests keep
+    their throwaway campaign caches here. *)

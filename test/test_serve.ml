@@ -24,26 +24,25 @@ let temp_dir =
       (Printf.sprintf "aqt_serve_test_%d_%d" (Unix.getpid ()) !counter)
 
 (* ------------------------------------------------------------------ *)
-(* HTTP codec (socketpair, no network)                                 *)
+(* HTTP codec (in memory, no network)                                  *)
 (* ------------------------------------------------------------------ *)
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let with_pair f =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      close_quietly a;
-      close_quietly b)
-    (fun () -> f a b)
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
 
-(* Feed raw bytes to read_request; the writing end closes, so the parser
-   sees exactly this input followed by EOF. *)
+(* Feed raw bytes to the daemon's request parser as one chunk; a parser
+   still waiting at the end of the input means the peer closed first. *)
 let feed ?max_line ?max_headers ?max_body bytes =
-  with_pair (fun a b ->
-      ignore (Unix.write_substring a bytes 0 (String.length bytes));
-      Unix.shutdown a Unix.SHUTDOWN_SEND;
-      Http.read_request ?max_line ?max_headers ?max_body b)
+  let p = Http.Parser.create ?max_line ?max_headers ?max_body () in
+  Http.Parser.feed_string p bytes;
+  match Http.Parser.next p with
+  | `Request req -> Ok req
+  | `Error e -> Error e
+  | `Await -> Error Http.Closed
 
 let http_percent_decode () =
   check_string "space and plus" "a b c" (Http.percent_decode "a%20b+c");
@@ -135,58 +134,43 @@ let http_closed () =
   | Error Http.Closed -> ()
   | _ -> Alcotest.fail "truncated headers should be Closed"
 
-let read_all fd =
-  let buf = Bytes.create 4096 in
-  let out = Buffer.create 256 in
-  let rec go () =
-    match Unix.read fd buf 0 4096 with
-    | 0 -> Buffer.contents out
-    | n ->
-        Buffer.add_subbytes out buf 0 n;
-        go ()
-  in
-  go ()
-
 let http_write_response () =
   let wire =
-    with_pair (fun a b ->
-        Http.write_response a
-          ~headers:[ ("Content-Type", "application/json") ]
-          ~status:200 ~body:"{\"ok\":true}";
-        Unix.shutdown a Unix.SHUTDOWN_SEND;
-        read_all b)
+    Http.encode_response
+      ~headers:[ ("Content-Type", "application/json") ]
+      ~status:200 ~body:"{\"ok\":true}" ()
   in
   check_bool "status line" true
     (String.starts_with ~prefix:"HTTP/1.1 200 OK\r\n" wire);
-  check_bool "content-length" true
-    (let re = "Content-Length: 11\r\n" in
-     let rec find i =
-       i + String.length re <= String.length wire
-       && (String.sub wire i (String.length re) = re || find (i + 1))
-     in
-     find 0);
+  check_bool "content-length" true (contains wire "Content-Length: 11\r\n");
   check_bool "connection close" true
-    (let needle = "Connection: close\r\n\r\n" in
-     let rec find i =
-       i + String.length needle <= String.length wire
-       && (String.sub wire i (String.length needle) = needle || find (i + 1))
-     in
-     find 0);
+    (contains wire "Connection: close\r\n\r\n");
   check_bool "body last" true (String.ends_with ~suffix:"{\"ok\":true}" wire);
-  let head =
-    with_pair (fun a b ->
-        Http.write_response a ~head_only:true ~status:200 ~body:"abc";
-        Unix.shutdown a Unix.SHUTDOWN_SEND;
-        read_all b)
-  in
+  let head = Http.encode_response ~head_only:true ~status:200 ~body:"abc" () in
   check_bool "HEAD keeps length header" true
-    (let re = "Content-Length: 3\r\n" in
-     let rec find i =
-       i + String.length re <= String.length head
-       && (String.sub head i (String.length re) = re || find (i + 1))
-     in
-     find 0);
+    (contains head "Content-Length: 3\r\n");
   check_bool "HEAD omits body" true (String.ends_with ~suffix:"\r\n\r\n" head)
+
+(* The response parser caps the header block like the request parser. *)
+let http_response_header_cap () =
+  let response n =
+    "HTTP/1.1 200 OK\r\n"
+    ^ String.concat "" (List.init (n - 1) (Printf.sprintf "x-h%d: v\r\n"))
+    ^ "Content-Length: 0\r\n\r\n"
+  in
+  let parse wire =
+    let rp = Http.Rparser.create () in
+    Http.Rparser.feed_string rp wire;
+    Http.Rparser.next rp
+  in
+  (match parse (response 256) with
+  | `Response r ->
+      check_int "256 headers accepted" 256 (List.length r.Http.resp_headers)
+  | _ -> Alcotest.fail "256 headers should parse");
+  match parse (response 257) with
+  | `Error (Http.Too_large "headers") -> ()
+  | `Error e -> Alcotest.failf "257 headers: %s" (Http.error_to_string e)
+  | _ -> Alcotest.fail "257 headers accepted"
 
 (* ------------------------------------------------------------------ *)
 (* Bucket (fake clock)                                                 *)
@@ -263,11 +247,6 @@ let bucket_validation () =
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 let count_occurrences hay needle =
   let nl = String.length needle in
@@ -688,8 +667,19 @@ let serve_journal_snapshot () =
             (List.assoc_opt "serve_requests_total" values = Some 1.))
 
 (* ------------------------------------------------------------------ *)
-(* Incremental parser: pipelined requests, arbitrary chunk boundaries  *)
+(* Incremental parsers: pipelined messages, arbitrary chunk boundaries *)
 (* ------------------------------------------------------------------ *)
+
+(* [wire] cut into consecutive pieces whose lengths cycle through [cuts]. *)
+let chunks ~cuts wire =
+  let cuts = Array.of_list (if cuts = [] then [ 1 ] else cuts) in
+  let rec go pos ci acc =
+    if pos >= String.length wire then List.rev acc
+    else
+      let len = min cuts.(ci mod Array.length cuts) (String.length wire - pos) in
+      go (pos + len) (ci + 1) (String.sub wire pos len :: acc)
+  in
+  go 0 0 []
 
 (* Whatever the read boundaries, a pipelined byte stream must parse
    into exactly the requests that were encoded, in order. *)
@@ -731,18 +721,11 @@ let parser_chunking_qcheck =
                 (Http.error_to_string e)
         done
       in
-      let cuts = if cuts = [] then [ 1 ] else cuts in
-      let pos = ref 0 and ci = ref 0 in
-      while !pos < String.length wire do
-        let len =
-          min (List.nth cuts (!ci mod List.length cuts))
-            (String.length wire - !pos)
-        in
-        Http.Parser.feed_string p (String.sub wire !pos len);
-        pos := !pos + len;
-        incr ci;
-        drain ()
-      done;
+      List.iter
+        (fun chunk ->
+          Http.Parser.feed_string p chunk;
+          drain ())
+        (chunks ~cuts wire);
       let parsed = List.rev !parsed in
       List.length parsed = List.length reqs
       && List.for_all2
@@ -751,6 +734,78 @@ let parser_chunking_qcheck =
              && r.Http.body = Option.value body ~default:""
              && String.starts_with ~prefix:"/p" r.Http.path)
            reqs parsed)
+
+(* The same for responses: a pipelined stream of encoded responses,
+   including bodiless answers to HEAD, parses back to the same status,
+   headers and body, in order, whatever the read boundaries. *)
+let rparser_chunking_qcheck =
+  QCheck.Test.make ~name:"response parse is chunking-invariant" ~count:200
+    (QCheck.pair
+       (QCheck.list_of_size (QCheck.Gen.int_range 1 5)
+          (QCheck.pair (QCheck.int_range 0 3) (QCheck.int_range 0 60)))
+       (QCheck.list (QCheck.int_range 1 13)))
+    (fun (specs, cuts) ->
+      let resps =
+        Array.of_list
+          (List.mapi
+             (fun i (kind, n) ->
+               (* bodies carry CRLFs and colons the parser must not frame on *)
+               let body = String.init n (fun j -> "ab\r\n:".[(i + j) mod 5]) in
+               match kind with
+               | 0 -> (200, [], body, false)
+               | 1 -> (404, [ ("X-Seq", string_of_int i) ], body, false)
+               | 2 -> (200, [ ("Content-Type", "application/json") ], body, false)
+               | _ -> (200, [], body, true))
+             specs)
+      in
+      let wire =
+        String.concat ""
+          (Array.to_list
+             (Array.map
+                (fun (status, headers, body, head_only) ->
+                  Http.encode_response ~headers ~head_only ~keep_alive:true
+                    ~status ~body ())
+                resps))
+      in
+      let expected_headers headers body =
+        (if List.mem_assoc "Content-Type" headers then []
+         else [ ("content-type", "text/plain; charset=utf-8") ])
+        @ List.map (fun (k, v) -> (String.lowercase_ascii k, v)) headers
+        @ [
+            ("content-length", string_of_int (String.length body));
+            ("connection", "keep-alive");
+          ]
+      in
+      let head_only (_, _, _, h) = h in
+      let rp = Http.Rparser.create () in
+      let parsed = ref [] in
+      let drain () =
+        let continue = ref true in
+        while !continue do
+          let k = List.length !parsed in
+          let head = k < Array.length resps && head_only resps.(k) in
+          match Http.Rparser.next ~head rp with
+          | `Response r -> parsed := r :: !parsed
+          | `Await -> continue := false
+          | `Error e ->
+              QCheck.Test.fail_reportf "parse error: %s"
+                (Http.error_to_string e)
+        done
+      in
+      List.iter
+        (fun chunk ->
+          Http.Rparser.feed_string rp chunk;
+          drain ())
+        (chunks ~cuts wire);
+      let parsed = Array.of_list (List.rev !parsed) in
+      Array.length parsed = Array.length resps
+      && Http.Rparser.buffered rp = 0
+      && Array.for_all2
+           (fun (status, headers, body, head_only) (r : Http.response) ->
+             r.Http.status = status
+             && r.Http.resp_headers = expected_headers headers body
+             && r.Http.body = if head_only then "" else body)
+           resps parsed)
 
 (* ------------------------------------------------------------------ *)
 (* Timer wheel (fake clock)                                            *)
@@ -897,9 +952,9 @@ let keyed_bucket_lru_eviction () =
 (* Keep-alive and pipelining against a live daemon                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Three requests written back to back in one burst; three responses
-   must come back in order on the same connection, which stays open for
-   a fourth. *)
+(* Four requests, one a HEAD, written back to back in one burst; four
+   responses must come back in order on the same connection, which stays
+   open for a fifth. *)
 let serve_pipelined_burst () =
   with_server (fun srv ->
       let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -909,10 +964,9 @@ let serve_pipelined_burst () =
           Unix.setsockopt_float fd Unix.SO_RCVTIMEO 8.;
           Unix.connect fd
             (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
-          (* No HEAD here: a HEAD response carries Content-Length with no
-             body, which a generic response parser cannot re-frame. *)
           let wire =
             Http.encode_request "/healthz"
+            ^ Http.encode_request ~meth:"HEAD" "/healthz"
             ^ Http.encode_request "/"
             ^ Http.encode_request "/nope"
           in
@@ -922,7 +976,7 @@ let serve_pipelined_burst () =
           let responses = ref [] in
           let deadline = Unix.gettimeofday () +. 8. in
           while
-            List.length !responses < 3 && Unix.gettimeofday () < deadline
+            List.length !responses < 4 && Unix.gettimeofday () < deadline
           do
             (match Unix.read fd buf 0 4096 with
             | 0 -> Alcotest.fail "server closed a keep-alive connection"
@@ -932,7 +986,9 @@ let serve_pipelined_burst () =
                 ());
             let continue = ref true in
             while !continue do
-              match Http.Rparser.next rp with
+              (* the second response answers the HEAD *)
+              let head = List.length !responses = 1 in
+              match Http.Rparser.next ~head rp with
               | `Response r -> responses := r :: !responses
               | `Await -> continue := false
               | `Error e ->
@@ -940,13 +996,17 @@ let serve_pipelined_burst () =
             done
           done;
           match List.rev !responses with
-          | [ a; b; c ] ->
+          | [ a; h; b; c ] ->
               check_int "first 200" 200 a.Http.status;
               check_string "first body in order" "ok\n" a.Http.body;
-              check_int "second 200" 200 b.Http.status;
-              check_bool "second is the index" true (contains b.Http.body "/sweep");
-              check_int "third answered in order" 404 c.Http.status;
-              check_string "third body" "not found\n" c.Http.body;
+              check_int "HEAD 200" 200 h.Http.status;
+              check_string "HEAD has no body" "" h.Http.body;
+              check_bool "HEAD keeps content-length" true
+                (List.assoc_opt "content-length" h.Http.resp_headers = Some "3");
+              check_int "third 200" 200 b.Http.status;
+              check_bool "third is the index" true (contains b.Http.body "/sweep");
+              check_int "fourth answered in order" 404 c.Http.status;
+              check_string "fourth body" "not found\n" c.Http.body;
               check_bool "keep-alive advertised" true
                 (List.assoc_opt "connection" a.Http.resp_headers
                 = Some "keep-alive");
@@ -958,16 +1018,16 @@ let serve_pipelined_burst () =
                 | `Response r -> r
                 | `Await ->
                     (match Unix.read fd buf 0 4096 with
-                    | 0 -> Alcotest.fail "closed before fourth response"
+                    | 0 -> Alcotest.fail "closed before fifth response"
                     | n -> Http.Rparser.feed rp buf 0 n);
                     read_one ()
                 | `Error e ->
-                    Alcotest.failf "fourth response: %s"
+                    Alcotest.failf "fifth response: %s"
                       (Http.error_to_string e)
               in
-              check_int "fourth request on the same connection" 200
+              check_int "fifth request on the same connection" 200
                 (read_one ()).Http.status
-          | l -> Alcotest.failf "expected 3 responses, got %d" (List.length l)))
+          | l -> Alcotest.failf "expected 4 responses, got %d" (List.length l)))
 
 let serve_client_reuse_counts_one_conn () =
   with_server (fun srv ->
@@ -1174,6 +1234,28 @@ let loadgen_report_formats () =
             (List.mem_assoc "p999" fields && List.mem_assoc "completed" fields)
       | _ -> Alcotest.fail "result_json should be an object")
 
+(* The self-tests keep a campaign cache in a temp directory; none may
+   outlive the run, on the normal path or when the body raises. *)
+let loadgen_selftest_cleans_up () =
+  let leftovers () =
+    let tag = Printf.sprintf "-%d-" (Unix.getpid ()) in
+    Sys.readdir (Filename.get_temp_dir_name ())
+    |> Array.to_list
+    |> List.filter (fun f -> String.starts_with ~prefix:"aqt-" f && contains f tag)
+  in
+  ignore
+    (Loadgen.selftest ~quiet:true ~requests:200 ~conns:4 ~rho:200. ~sigma:20 ());
+  check_bool "no aqt-*-<pid>-* directory left" true (leftovers () = []);
+  let seen = ref "" in
+  (try
+     Aqt_serve.Selftest.with_temp_dir ~prefix:"aqt-unit" (fun d ->
+         seen := d;
+         Out_channel.with_open_text (Filename.concat d "f") ignore;
+         failwith "boom")
+   with Failure _ -> ());
+  check_bool "removed when the body raises" false (Sys.file_exists !seen);
+  check_bool "still nothing left" true (leftovers () = [])
+
 let () =
   Alcotest.run "aqt_serve"
     [
@@ -1189,6 +1271,9 @@ let () =
           Alcotest.test_case "closed peer" `Quick http_closed;
           Alcotest.test_case "response writing" `Quick http_write_response;
           QCheck_alcotest.to_alcotest parser_chunking_qcheck;
+          Alcotest.test_case "response header cap" `Quick
+            http_response_header_cap;
+          QCheck_alcotest.to_alcotest rparser_chunking_qcheck;
         ] );
       ( "timewheel",
         [
@@ -1256,5 +1341,7 @@ let () =
             loadgen_closed_loop_smoke;
           Alcotest.test_case "open-loop smoke" `Quick loadgen_open_loop_smoke;
           Alcotest.test_case "report formats" `Quick loadgen_report_formats;
+          Alcotest.test_case "selftest leaves no temp dir" `Quick
+            loadgen_selftest_cleans_up;
         ] );
     ]
