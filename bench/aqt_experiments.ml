@@ -15,6 +15,7 @@ module Ratio = Aqt_util.Ratio
 module Tbl = Aqt_util.Tbl
 module D = Aqt_graph.Digraph
 module Build = Aqt_graph.Build
+module Net_spec = Aqt_graph.Net_spec
 module Network = Aqt_engine.Network
 module Soa = Aqt_engine.Soa
 module Sim = Aqt_engine.Sim
@@ -30,27 +31,6 @@ module Registry = Aqt_harness.Registry
 module Rb = Aqt_harness.Registry.Rb
 
 let notef rb fmt = Printf.ksprintf (Rb.note rb) fmt
-
-let run_phase ?recorder net phase =
-  let duration = ref 0 in
-  let wrapped : Phased.phase =
-   fun net t ->
-    let d, dur = phase net t in
-    duration := dur;
-    (d, dur)
-  in
-  let driver = Phased.sequence [ wrapped ] in
-  ignore (Sim.run ?recorder ~net ~driver ~horizon:1 ());
-  ignore (Sim.run ?recorder ~net ~driver ~horizon:(!duration - 1) ());
-  !duration
-
-let seeded_net params ~m ~seed =
-  let g = G.cyclic ~n:params.Aqt.Params.n ~m () in
-  let net = Network.create ~graph:g.graph ~policy:Policies.fifo () in
-  for _ = 1 to seed do
-    ignore (Network.place_initial ~tag:"seed" net (G.seed_route g))
-  done;
-  (net, g)
 
 (* ------------------------------------------------------------------ *)
 (* F1 / F2: the figures                                                *)
@@ -147,8 +127,10 @@ let lemma_3_15_startup rb =
       (fun s0 ->
         let params = Aqt.Params.make ~eps ~s0 () in
         let seed = (2 * s0) + 2 in
-        let net, g = seeded_net params ~m:2 ~seed in
-        ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
+        let g = G.cyclic ~n:params.n ~m:2 () in
+        let net = Network.create ~graph:g.graph ~policy:Policies.fifo () in
+        G.seed g net seed;
+        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
         let m = I.measure net g ~k:1 in
         let predicted =
           Aqt.Params.s' ~r:params.r ~n:params.n ~total_old:seed
@@ -176,16 +158,18 @@ let lemma_3_6_pump rb =
       (fun s0 ->
         let params = Aqt.Params.make ~eps ~s0 () in
         let seed = (2 * s0) + 2 in
-        let net, g = seeded_net params ~m:3 ~seed in
+        let g = G.cyclic ~n:params.n ~m:3 () in
+        let net = Network.create ~graph:g.graph ~policy:Policies.fifo () in
+        G.seed g net seed;
         (* Sample the largest arm so the journal carries the startup+pump
            trajectory the report plots. *)
         let recorder =
           if s0 = 1600 then Some (Recorder.make ~every:50 ()) else None
         in
-        ignore (run_phase ?recorder net (Aqt.Startup.phase ~params ~gadget:g));
+        ignore (Phased.run ?recorder net (Aqt.Startup.phase ~params ~gadget:g));
         let s1 = (I.measure net g ~k:1).s_ingress in
         ignore
-          (run_phase ?recorder net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+          (Phased.run ?recorder net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
         (match recorder with
         | Some r ->
             Rb.trajectory rb (Recorder.to_rows r);
@@ -227,21 +211,20 @@ let lemma_3_16_stitch rb =
         let eps = Ratio.make num den in
         let params = Aqt.Params.make ~eps ~s0:400 () in
         let seed = (2 * params.s0) + 2 in
-        let net, g = seeded_net params ~m:2 ~seed in
-        ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
-        ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+        let g = G.cyclic ~n:params.n ~m:2 () in
+        let net = Network.create ~graph:g.graph ~policy:Policies.fifo () in
+        G.seed g net seed;
+        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
+        ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
         let s_ing = Network.buffer_len net (G.ingress g ~k:2) in
         let drain = s_ing + params.n in
-        ignore
-          (Sim.run ~net
-             ~driver:(Phased.sequence [ Phased.idle drain ])
-             ~horizon:drain ());
+        ignore (Phased.run net (Phased.idle drain));
         let s = Network.buffer_len net (G.egress g ~k:2) in
         let plan =
           Aqt.Stitch.plan ~rate ~relay:(G.stitch_route g)
             ~start:(Network.now net + 1) ~s
         in
-        ignore (run_phase net (Aqt.Stitch.phase ~rate ~gadget:g));
+        ignore (Phased.run net (Aqt.Stitch.phase ~rate ~gadget:g));
         let fresh = Network.buffer_len net (G.ingress g ~k:1) in
         [
           Ratio.to_string rate;
@@ -343,13 +326,10 @@ let thm_4_1_greedy rb =
   let rate = Ratio.make 1 (d + 1) in
   List.iter
     (fun policy ->
-      let line = Build.line d in
-      let net = Network.create ~graph:line.graph ~policy () in
-      let adv =
-        Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ]
-          ~horizon:12_000 ()
+      let net =
+        Aqt.Stability.line_burst ~policy ~d ~w ~rate ~horizon:12_000
+          ~steps:12_100 ()
       in
-      ignore (Sim.run ~net ~driver:adv.driver ~horizon:12_100 ());
       rows :=
         stability_row ~workload:"line/burst"
           ~policy:policy.Aqt_engine.Policy_type.name ~rate ~w ~d ~s_initial:0
@@ -405,18 +385,15 @@ let thm_4_3_time_priority rb =
   let rate = Ratio.make 1 d in
   List.iteri
     (fun i policy ->
-      let line = Build.line d in
-      let net = Network.create ~graph:line.graph ~policy () in
-      let adv =
-        Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ]
-          ~horizon:12_000 ()
-      in
       (* Sample the first (FIFO) run so the campaign journal carries a
          trajectory of a certified-stable workload. *)
       let recorder =
         if i = 0 then Some (Recorder.make ~every:100 ()) else None
       in
-      ignore (Sim.run ?recorder ~net ~driver:adv.driver ~horizon:12_100 ());
+      let net =
+        Aqt.Stability.line_burst ?recorder ~policy ~d ~w ~rate ~horizon:12_000
+          ~steps:12_100 ()
+      in
       (match recorder with
       | Some r ->
           Rb.trajectory rb (Recorder.to_rows r);
@@ -431,13 +408,10 @@ let thm_4_3_time_priority rb =
     [ Policies.fifo; Policies.lis ];
   (* Contrast: a non-time-priority policy at 1/d has no theorem (and the
      bound can be exceeded). *)
-  let line = Build.line d in
-  let net = Network.create ~graph:line.graph ~policy:Policies.lifo () in
-  let adv =
-    Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ]
-      ~horizon:12_000 ()
+  let net =
+    Aqt.Stability.line_burst ~policy:Policies.lifo ~d ~w ~rate ~horizon:12_000
+      ~steps:12_100 ()
   in
-  ignore (Sim.run ~net ~driver:adv.driver ~horizon:12_100 ());
   rows :=
     stability_row ~workload:"line/burst" ~policy:"lifo (contrast)" ~rate ~w ~d
       ~s_initial:0 net
@@ -453,16 +427,10 @@ let cor_4_5_4_6_initial rb =
   let d = 4 and w = 16 in
   List.iter
     (fun (policy, rate, s) ->
-      let line = Build.line d in
-      let net = Network.create ~graph:line.graph ~policy () in
-      for _ = 1 to s do
-        ignore (Network.place_initial net line.edges)
-      done;
-      let adv =
-        Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ]
-          ~horizon:8_000 ()
+      let net =
+        Aqt.Stability.line_burst ~initial:s ~policy ~d ~w ~rate ~horizon:8_000
+          ~steps:8_100 ()
       in
-      ignore (Sim.run ~net ~driver:adv.driver ~horizon:8_100 ());
       rows :=
         stability_row ~workload:(Printf.sprintf "line, S=%d" s)
           ~policy:policy.Aqt_engine.Policy_type.name ~rate ~w ~d ~s_initial:s
@@ -597,13 +565,10 @@ let ntg_low_rate rb =
     List.map
       (fun d ->
         let rate = Ratio.make 1 (d + 1) in
-        let line = Build.line d in
-        let net = Network.create ~graph:line.graph ~policy:Policies.ntg () in
-        let adv =
-          Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ]
-            ~horizon:10_000 ()
+        let net =
+          Aqt.Stability.line_burst ~policy:Policies.ntg ~d ~w ~rate
+            ~horizon:10_000 ~steps:10_100 ()
         in
-        ignore (Sim.run ~net ~driver:adv.driver ~horizon:10_100 ());
         let verdict =
           match Aqt.Stability.verify_run ~w ~rate ~d net with
           | Some v when v.ok -> "stable (certified)"
@@ -793,8 +758,10 @@ let fluid_vs_discrete rb =
   let eps = Ratio.make 1 5 in
   let params = Aqt.Params.make ~eps ~s0:1000 () in
   let seed = (2 * params.s0) + 2 in
-  let net, g = seeded_net params ~m:3 ~seed in
-  ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
+  let g = G.cyclic ~n:params.n ~m:3 () in
+  let net = Network.create ~graph:g.graph ~policy:Policies.fifo () in
+  G.seed g net seed;
+  ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
   let m1 = I.measure net g ~k:1 in
   let total_old = m1.s_epath + m1.s_ingress in
   let fluid =
@@ -881,11 +848,13 @@ let ablation_pump rb =
   let rows =
     List.map
       (fun (name, flow_filter) ->
-        let net, g = seeded_net params ~m:3 ~seed in
-        ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
+        let g = G.cyclic ~n:params.n ~m:3 () in
+        let net = Network.create ~graph:g.graph ~policy:Policies.fifo () in
+        G.seed g net seed;
+        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
         let s1 = (I.measure net g ~k:1).s_ingress in
         ignore
-          (run_phase net (Aqt.Pump.phase ~flow_filter ~params ~gadget:g ~k:1));
+          (Phased.run net (Aqt.Pump.phase ~flow_filter ~params ~gadget:g ~k:1));
         let m2 = I.measure net g ~k:2 in
         [
           name;
@@ -927,22 +896,21 @@ let ablation_stitch rb =
   let rows =
     List.map
       (fun (name, flow_filter) ->
-        let net, g = seeded_net params ~m:2 ~seed in
-        ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
-        ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+        let g = G.cyclic ~n:params.n ~m:2 () in
+        let net = Network.create ~graph:g.graph ~policy:Policies.fifo () in
+        G.seed g net seed;
+        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
+        ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
         let s_ing = Network.buffer_len net (G.ingress g ~k:2) in
         let drain = s_ing + params.n in
-        ignore
-          (Sim.run ~net
-             ~driver:(Phased.sequence [ Phased.idle drain ])
-             ~horizon:drain ());
+        ignore (Phased.run net (Phased.idle drain));
         let s = Network.buffer_len net (G.egress g ~k:2) in
         let plan =
           Aqt.Stitch.plan ~rate:params.rate ~relay:(G.stitch_route g)
             ~start:(Network.now net + 1) ~s
         in
         ignore
-          (run_phase net
+          (Phased.run net
              (Aqt.Stitch.phase ~flow_filter ~rate:params.rate ~gadget:g));
         let fresh = Network.buffer_len net (G.ingress g ~k:1) in
         [ name; Tbl.fi s; Tbl.fi plan.r3s; Tbl.fi fresh ])
@@ -1051,10 +1019,12 @@ let ablation_pump_factor_vs_n rb =
       (fun n ->
         let params = Aqt.Params.make ~eps ~n ~s0:(max 500 (2 * n)) () in
         let seed = (2 * params.s0) + 2 in
-        let net, g = seeded_net params ~m:3 ~seed in
-        ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
+        let g = G.cyclic ~n:params.n ~m:3 () in
+        let net = Network.create ~graph:g.graph ~policy:Policies.fifo () in
+        G.seed g net seed;
+        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
         let s1 = (I.measure net g ~k:1).s_ingress in
-        ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+        ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
         let s2 = (I.measure net g ~k:2).s_ingress in
         [
           Tbl.fi n;
@@ -1087,9 +1057,7 @@ let noise_robustness rb =
         let net =
           Network.create ~graph:gadget.graph ~policy:Policies.fifo ()
         in
-        for _ = 1 to cfg.seed do
-          ignore (Network.place_initial ~tag:"seed" net (G.seed_route gadget))
-        done;
+        G.seed gadget net cfg.seed;
         let seeds = ref [] in
         let ingress = G.ingress gadget ~k:1 in
         let base =
@@ -1176,14 +1144,10 @@ module Tradeoff = Aqt_capacity.Tradeoff
    matter.  (A smooth one-per-route schedule never queues at all: the
    staggered arcs interleave perfectly.) *)
 let capacity_cell ~burst ~period ~horizon ~capacity =
-  let ring = Build.ring 8 in
-  let routes =
-    Array.init 8 (fun i ->
-        Array.init 4 (fun j -> ring.Build.edges.((i + j) mod 8)))
-  in
+  let graph, routes = Net_spec.build ~d:4 (Net_spec.Ring 8) in
+  let routes = Array.of_list routes in
   let net =
-    Network.create ~recycle:true ~capacity ~graph:ring.Build.graph
-      ~policy:Policies.fifo ()
+    Network.create ~recycle:true ~capacity ~graph ~policy:Policies.fifo ()
   in
   let driver =
     Sim.injections_only (fun _ t ->
@@ -1636,13 +1600,11 @@ let bechamel_suite rb =
   (* Fast-path benches: unlike [step_bench], these keep the network (and its
      intern table and packet pool) across runs, so they measure steady-state
      stepping alone — the regime [Sim.run_steps] targets. *)
-  let fastpath_bench k =
-    let ring = Build.ring k in
-    let routes =
-      Array.init k (fun i -> Array.init 4 (fun j -> ring.edges.((i + j) mod k)))
-    in
+  let fastpath_bench ?capacity ~name k =
+    let graph, routes = Net_spec.build ~d:4 (Net_spec.Ring k) in
+    let routes = Array.of_list routes in
     let net =
-      Network.create ~recycle:true ~graph:ring.graph ~policy:Policies.fifo ()
+      Network.create ~recycle:true ?capacity ~graph ~policy:Policies.fifo ()
     in
     let t = ref 0 in
     let driver =
@@ -1652,41 +1614,11 @@ let bechamel_suite rb =
             [ { Network.route = routes.(!t mod k); tag = "b" } ]
           else [])
     in
-    Test.make
-      ~name:(Printf.sprintf "fastpath.run_steps ring%d steady" k)
-      (Staged.stage (fun () -> Sim.run_steps ~net ~driver 200))
-  in
-  (* The bounded twin of [fastpath_bench]: same steady-state loop, but
-     through finite drop-tail buffers at speedup 2 — measures the capped
-     admission and multi-dequeue paths the capacity model adds. *)
-  let fastpath_capacity_bench =
-    let ring = Build.ring 100 in
-    let routes =
-      Array.init 100 (fun i ->
-          Array.init 4 (fun j -> ring.edges.((i + j) mod 100)))
-    in
-    let net =
-      Network.create ~recycle:true
-        ~capacity:(Capacity.uniform ~policy:Capacity.Drop_tail ~speedup:2 8)
-        ~graph:ring.graph ~policy:Policies.fifo ()
-    in
-    let t = ref 0 in
-    let driver =
-      Sim.injections_only (fun _ _ ->
-          incr t;
-          if !t land 1 = 0 then
-            [ { Network.route = routes.(!t mod 100); tag = "b" } ]
-          else [])
-    in
-    Test.make ~name:"fastpath.run_steps ring100 cap8 s2"
-      (Staged.stage (fun () -> Sim.run_steps ~net ~driver 200))
+    Test.make ~name (Staged.stage (fun () -> Sim.run_steps ~net ~driver 200))
   in
   let intern_bench =
-    let ring = Build.ring 1000 in
-    let routes =
-      Array.init 1000 (fun i ->
-          Array.init 4 (fun j -> ring.edges.((i + j) mod 1000)))
-    in
+    let _, routes = Net_spec.build ~d:4 (Net_spec.Ring 1000) in
+    let routes = Array.of_list routes in
     let table = Aqt_engine.Route_intern.create () in
     Array.iter (fun r -> ignore (Aqt_engine.Route_intern.intern table r)) routes;
     Test.make ~name:"route_intern.intern 1k hits"
@@ -1715,9 +1647,12 @@ let bechamel_suite rb =
         step_bench 10;
         step_bench 100;
         step_bench 1000;
-        fastpath_bench 100;
-        fastpath_bench 1000;
-        fastpath_capacity_bench;
+        fastpath_bench ~name:"fastpath.run_steps ring100 steady" 100;
+        fastpath_bench ~name:"fastpath.run_steps ring1000 steady" 1000;
+        (* The bounded twin: finite drop-tail buffers at speedup 2 measure
+           the capped admission and multi-dequeue paths. *)
+        fastpath_bench ~name:"fastpath.run_steps ring100 cap8 s2" 100
+          ~capacity:(Capacity.uniform ~policy:Capacity.Drop_tail ~speedup:2 8);
         intern_bench;
         create_bench;
         build_bench;

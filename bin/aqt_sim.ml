@@ -12,9 +12,7 @@ module Ratio = Aqt_util.Ratio
 module Build = Aqt_graph.Build
 module Net_spec = Aqt_graph.Net_spec
 module Network = Aqt_engine.Network
-module Sim = Aqt_engine.Sim
 module Policies = Aqt_policy.Policies
-module Stock = Aqt_adversary.Stock
 module Tbl = Aqt_util.Tbl
 
 (* ------------------------------------------------------------------ *)
@@ -215,13 +213,10 @@ let stability_cmd =
           if policy.Aqt_engine.Policy_type.time_priority then Ratio.make 1 d
           else Ratio.make 1 (d + 1)
     in
-    let line = Build.line d in
-    let net = Network.create ~log_injections:true ~graph:line.graph ~policy () in
-    let adv =
-      Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ]
-        ~horizon ()
+    let net =
+      Aqt.Stability.line_burst ~log_injections:true ~policy ~d ~w ~rate
+        ~horizon ~steps:(horizon + w) ()
     in
-    ignore (Sim.run ~net ~driver:adv.driver ~horizon:(horizon + w) ());
     let legal =
       Aqt_adversary.Rate_check.check_windowed ~m:d ~w ~rate
         (Network.injection_log net)
@@ -251,13 +246,15 @@ let stability_cmd =
 (* simulate                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let net_arg =
+  Arg.(
+    value & opt net_conv (Net_spec.Ring 8)
+    & info [ "network" ] ~docv:"NET" ~doc:"Topology: line:K or ring:K.")
+
+let hops_arg =
+  Arg.(value & opt int 4 & info [ "hops"; "d" ] ~doc:"Route length.")
+
 let simulate_cmd =
-  let net_arg =
-    Arg.(
-      value & opt net_conv (Net_spec.Ring 8)
-      & info [ "network" ] ~docv:"NET" ~doc:"Topology: line:K or ring:K.")
-  in
-  let d = Arg.(value & opt int 4 & info [ "hops"; "d" ] ~doc:"Route length.") in
   let rate =
     Arg.(
       value & opt ratio_conv (Ratio.make 1 4)
@@ -267,22 +264,17 @@ let simulate_cmd =
   let stochastic =
     Arg.(value & flag & info [ "stochastic" ] ~doc:"Bernoulli instead of bursts.")
   in
-  let run spec policy d rate horizon seed stochastic =
-    let graph, routes = Net_spec.build ~d spec in
-    let nroutes = List.length routes in
-    let per_route = Ratio.div rate (Ratio.of_int (max 1 (min d nroutes))) in
-    let adv =
-      if stochastic then
-        Stock.bernoulli ~prng:(Aqt_util.Prng.create seed) ~rate:per_route
-          ~routes ()
-      else Stock.windowed_burst ~w:40 ~rate:per_route ~routes ~horizon ()
+  let run network policy d rate horizon seed stochastic =
+    let arrivals =
+      if stochastic then Aqt.Sweep.Bernoulli seed else Aqt.Sweep.Bursts
     in
-    let net = Network.create ~graph ~policy () in
-    let outcome = Sim.run ~net ~driver:adv.driver ~horizon () in
+    let { Aqt.Sweep.net; adversary = adv; outcome; n_routes = nroutes } =
+      Aqt.Sweep.simulate ~network ~d ~policy ~rate ~arrivals ~horizon ()
+    in
     Printf.printf
       "%s on %d-edge graph, %d routes of length <= %d, rate %s (%s)\n"
       policy.Aqt_engine.Policy_type.name
-      (Aqt_graph.Digraph.n_edges graph)
+      (Aqt_graph.Digraph.n_edges (Network.graph net))
       nroutes d (Ratio.to_string rate) adv.name;
     Printf.printf
       "steps=%d injected=%d absorbed=%d in-flight=%d\n" outcome.steps_run
@@ -295,7 +287,7 @@ let simulate_cmd =
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Free-form simulation run")
     Term.(
-      const run $ net_arg $ policy_arg $ d $ rate $ horizon_arg $ seed
+      const run $ net_arg $ policy_arg $ hops_arg $ rate $ horizon_arg $ seed
       $ stochastic)
 
 (* ------------------------------------------------------------------ *)
@@ -303,12 +295,6 @@ let simulate_cmd =
 (* ------------------------------------------------------------------ *)
 
 let sweep_cmd =
-  let net_arg =
-    Arg.(
-      value & opt net_conv (Net_spec.Ring 8)
-      & info [ "network" ] ~docv:"NET" ~doc:"Topology: line:K or ring:K.")
-  in
-  let d = Arg.(value & opt int 4 & info [ "hops"; "d" ] ~doc:"Route length.") in
   let rates =
     Arg.(
       value
@@ -316,45 +302,16 @@ let sweep_cmd =
           [ Ratio.make 1 8; Ratio.make 1 4; Ratio.make 1 2; Ratio.make 3 4 ]
       & info [ "rates" ] ~doc:"Comma-separated rates to test.")
   in
-  let run spec d rates horizon =
-    let graph, routes = Net_spec.build ~d spec in
-    (* One intern table for the whole grid: every cell runs the same routes
-       on the same graph, so each route is validated once per sweep. *)
-    let route_table = Aqt_engine.Route_intern.create () in
-    let tbl =
-      Tbl.create
-        ~headers:[ "policy"; "rate"; "verdict"; "max queue"; "final backlog" ]
-    in
-    List.iter
-      (fun policy ->
-        List.iter
-          (fun rate ->
-            let per_route =
-              Ratio.div rate (Ratio.of_int (max 1 (List.length routes)))
-            in
-            let adv =
-              Stock.shared_token_bucket ~rate:per_route ~routes ~horizon ()
-            in
-            let adv = { adv with Stock.rate } in
-            let report =
-              Aqt.Sweep.classify ~route_table ~name:"sweep" ~graph ~policy
-                ~adversary:adv ~horizon ()
-            in
-            Tbl.add_row tbl
-              [
-                policy.Aqt_engine.Policy_type.name;
-                Ratio.to_string rate;
-                Aqt.Sweep.verdict_to_string report.verdict;
-                Tbl.fi report.max_queue;
-                Tbl.fi report.final_backlog;
-              ])
-          rates)
-      Policies.all_deterministic;
+  let run network d rates horizon =
+    let tbl = Tbl.create ~headers:Aqt.Sweep.grid_headers in
+    Tbl.add_rows tbl
+      (Aqt.Sweep.grid ~network ~d ~policies:Policies.all_deterministic ~rates
+         ~horizon ());
     Tbl.print tbl
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Classify a policy x rate grid as stable/growing")
-    Term.(const run $ net_arg $ d $ rates $ horizon_arg)
+    Term.(const run $ net_arg $ hops_arg $ rates $ horizon_arg)
 
 (* ------------------------------------------------------------------ *)
 (* plan                                                                *)
@@ -491,30 +448,43 @@ let replay_cmd =
   let file =
     Arg.(
       required
-      & opt (some string) None
+      & opt (some file) None
       & info [ "log" ] ~docv:"FILE" ~doc:"Injection log (from --save-log).")
   in
   let settle =
     Arg.(value & opt int 5000 & info [ "settle" ] ~doc:"Idle steps at the end.")
   in
   let run file policy settle =
-    let log = Aqt_adversary.Log_io.load file in
+    let bad fmt =
+      Printf.ksprintf
+        (fun msg ->
+          Printf.eprintf "replay: %s: %s\n" file msg;
+          exit 2)
+        fmt
+    in
+    let log =
+      try Aqt_adversary.Log_io.load file with Failure msg -> bad "%s" msg
+    in
     let meta_int k =
       match Aqt_adversary.Log_io.meta_value log k with
-      | Some v -> int_of_string v
-      | None -> failwith (Printf.sprintf "log has no %S metadata" k)
+      | None -> bad "log has no %S metadata" k
+      | Some v -> (
+          match int_of_string_opt v with
+          | Some i -> i
+          | None -> bad "metadata %s: expected an integer, got %S" k v)
     in
     let n = meta_int "n" and m = meta_int "m" in
     let rate =
       match Aqt_adversary.Log_io.meta_value log "rate" with
-      | Some v -> (
-          match String.split_on_char '/' v with
-          | [ p; q ] -> Ratio.make (int_of_string p) (int_of_string q)
-          | [ p ] -> Ratio.of_int (int_of_string p)
-          | _ -> failwith "bad rate metadata")
       | None -> Ratio.one
+      | Some v -> (
+          match Ratio.of_string v with
+          | Ok r -> r
+          | Error e -> bad "metadata rate: %s" e)
     in
-    let gadget = Aqt.Gadget.cyclic ~n ~m () in
+    let gadget =
+      try Aqt.Gadget.cyclic ~n ~m () with Invalid_argument msg -> bad "%s" msg
+    in
     let results =
       Aqt.Baselines.replay_against ~initial:log.initial ~graph:gadget.graph
         ~rate ~log:log.log ~policies:[ policy ] ~settle ()
@@ -561,34 +531,7 @@ let workloads_cmd =
 let spacetime_cmd =
   let seeds = Arg.(value & opt int 122 & info [ "seeds" ] ~doc:"Seed packets.") in
   let run eps seeds =
-    let params =
-      Aqt.Params.make ~eps ~s0:(max 20 ((seeds - 2) / 2)) ()
-    in
-    let g = Aqt.Gadget.cyclic ~n:params.n ~m:2 () in
-    let net =
-      Network.create ~graph:g.graph ~policy:Policies.fifo ()
-    in
-    for _ = 1 to seeds do
-      ignore (Network.place_initial ~tag:"seed" net (Aqt.Gadget.seed_route g))
-    done;
-    let st = Aqt_engine.Spacetime.make net in
-    let run_phase phase =
-      let duration = ref 0 in
-      let wrapped : Aqt_adversary.Phased.phase =
-       fun net t ->
-        let d, dur = phase net t in
-        duration := dur;
-        (d, dur)
-      in
-      let driver =
-        Aqt_engine.Spacetime.driver_wrap st
-          (Aqt_adversary.Phased.sequence [ wrapped ])
-      in
-      ignore (Sim.run ~net ~driver ~horizon:1 ());
-      ignore (Sim.run ~net ~driver ~horizon:(!duration - 1) ())
-    in
-    run_phase (Aqt.Startup.phase ~params ~gadget:g);
-    run_phase (fun n t -> Aqt.Pump.phase ~params ~gadget:g ~k:1 n t);
+    let _, _, st = Aqt.Instability.spacetime ~eps ~seeds () in
     Aqt_engine.Spacetime.print st
   in
   Cmd.v
@@ -1623,6 +1566,14 @@ let fabric_cmd =
             (`Msg
                (Printf.sprintf
                   "unknown topology %S (spine-leaf:S,L,H | fat-tree:K)" s))
+    in
+    (* Build once to surface the generator's own range checks (odd or
+       tiny fat-tree arity, empty spine-leaf tiers) as usage errors. *)
+    let parse s =
+      Result.bind (parse s) (fun t ->
+          match Scenario.build_topo t with
+          | _ -> Ok t
+          | exception Invalid_argument msg -> Error (`Msg msg))
     in
     Arg.conv (parse, fun fmt t -> Format.pp_print_string fmt (Scenario.topo_name t))
   in

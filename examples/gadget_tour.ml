@@ -9,23 +9,9 @@
 
 module Ratio = Aqt_util.Ratio
 module Network = Aqt_engine.Network
-module Sim = Aqt_engine.Sim
 module Phased = Aqt_adversary.Phased
 module G = Aqt.Gadget
 module I = Aqt.Invariant
-
-let run_phase net phase =
-  let duration = ref 0 in
-  let wrapped : Phased.phase =
-   fun net t ->
-    let d, dur = phase net t in
-    duration := dur;
-    (d, dur)
-  in
-  let driver = Phased.sequence [ wrapped ] in
-  ignore (Sim.run ~net ~driver ~horizon:1 ());
-  ignore (Sim.run ~net ~driver ~horizon:(!duration - 1) ());
-  !duration
 
 let show_invariant net g ~k =
   let m = I.measure net g ~k in
@@ -62,13 +48,11 @@ let () =
     Network.create ~graph:g.graph ~policy:Aqt_policy.Policies.fifo ()
   in
   let seed = (2 * params.s0) + 2 in
-  for _ = 1 to seed do
-    ignore (Network.place_initial ~tag:"seed" net (G.seed_route g))
-  done;
+  G.seed g net seed;
   Printf.printf "Seeded %d single-edge packets at the ingress of F(1).\n\n" seed;
 
   (* Lemma 3.15. *)
-  let d = run_phase net (Aqt.Startup.phase ~params ~gadget:g) in
+  let d = Phased.run net (Aqt.Startup.phase ~params ~gadget:g) in
   Printf.printf "Lemma 3.15 (startup), %d steps:\n" d;
   show_invariant net g ~k:1;
   let s1 = (I.measure net g ~k:1).s_ingress in
@@ -76,7 +60,7 @@ let () =
     (Aqt.Params.s' ~r:params.r ~n:params.n ~total_old:seed);
 
   (* Lemma 3.6, twice. *)
-  let d = run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1) in
+  let d = Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1) in
   Printf.printf "Lemma 3.6 (pump 1 -> 2), %d steps:\n" d;
   show_invariant net g ~k:2;
   let s2 = (I.measure net g ~k:2).s_ingress in
@@ -84,22 +68,19 @@ let () =
     (float_of_int s2 /. float_of_int s1)
     (Aqt.Params.pump_factor ~r:params.r ~n:params.n);
 
-  let d = run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:2) in
+  let d = Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:2) in
   Printf.printf "Lemma 3.6 (pump 2 -> 3), %d steps:\n" d;
   show_invariant net g ~k:3;
 
   (* Drain, then Lemma 3.16. *)
   let s_ing = Network.buffer_len net (G.ingress g ~k:m_gadgets) in
   let drain = s_ing + params.n in
-  ignore
-    (Sim.run ~net
-       ~driver:(Phased.sequence [ Phased.idle drain ])
-       ~horizon:drain ());
+  ignore (Phased.run net (Phased.idle drain));
   let egress_q = Network.buffer_len net (G.egress g ~k:m_gadgets) in
   Printf.printf "Drain (%d idle steps): %d packets queued at the egress.\n\n"
     drain egress_q;
 
-  let d = run_phase net (Aqt.Stitch.phase ~rate:params.rate ~gadget:g) in
+  let d = Phased.run net (Aqt.Stitch.phase ~rate:params.rate ~gadget:g) in
   let fresh = Network.buffer_len net (G.ingress g ~k:1) in
   Printf.printf "Lemma 3.16 (stitch), %d steps: %d fresh seeds (r^3 * %d = %d)\n"
     d fresh egress_q

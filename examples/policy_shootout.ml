@@ -11,32 +11,24 @@
       on it, the universally stable policies (LIS, FTG) shrug it off. *)
 
 module Ratio = Aqt_util.Ratio
-module Build = Aqt_graph.Build
 module Network = Aqt_engine.Network
-module Sim = Aqt_engine.Sim
 module Policies = Aqt_policy.Policies
-module Stock = Aqt_adversary.Stock
 module Tbl = Aqt_util.Tbl
 
 let benign_workload () =
   print_endline "Workload 1: stochastic mix on an 8-ring, aggregate rate 3/4.";
-  let ring = Build.ring 8 in
-  let routes =
-    List.init 8 (fun i -> Array.init 4 (fun j -> ring.edges.((i + j) mod 8)))
-  in
   let tbl =
     Tbl.create
       ~headers:[ "policy"; "absorbed"; "max queue"; "max dwell"; "mean latency" ]
   in
   List.iter
     (fun policy ->
-      let prng = Aqt_util.Prng.create 1234 in
-      let adversary =
-        (* Per-route Bernoulli at (3/4)/4 ~ aggregate 3/4 per edge. *)
-        Stock.bernoulli ~prng ~rate:(Ratio.make 3 16) ~routes ()
+      (* Per-route Bernoulli at (3/4)/4 ~ aggregate 3/4 per edge. *)
+      let { Aqt.Sweep.net; _ } =
+        Aqt.Sweep.simulate ~network:(Aqt_graph.Net_spec.Ring 8) ~d:4 ~policy
+          ~rate:(Ratio.make 3 4) ~arrivals:(Aqt.Sweep.Bernoulli 1234)
+          ~horizon:20_000 ()
       in
-      let net = Network.create ~graph:ring.graph ~policy () in
-      let _ = Sim.run ~net ~driver:adversary.driver ~horizon:20_000 () in
       Tbl.add_row tbl
         [
           policy.Aqt_engine.Policy_type.name;

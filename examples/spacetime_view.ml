@@ -8,44 +8,18 @@
    e-path), which the pump then transfers to gadget 2's e-path, larger. *)
 
 module Ratio = Aqt_util.Ratio
-module Network = Aqt_engine.Network
-module Sim = Aqt_engine.Sim
-module Spacetime = Aqt_engine.Spacetime
-module Phased = Aqt_adversary.Phased
 module G = Aqt.Gadget
 
-(* Run one phase to completion, recording a space-time sample per step. *)
-let run_phase st net phase =
-  let duration = ref 0 in
-  let wrapped : Phased.phase =
-   fun net t ->
-    let d, dur = phase net t in
-    duration := dur;
-    (d, dur)
-  in
-  let driver = Spacetime.driver_wrap st (Phased.sequence [ wrapped ]) in
-  ignore (Sim.run ~net ~driver ~horizon:1 ());
-  ignore (Sim.run ~net ~driver ~horizon:(!duration - 1) ())
-
 let () =
-  let eps = Ratio.make 1 5 in
-  let params = Aqt.Params.make ~eps ~s0:60 () in
-  let g = G.cyclic ~n:params.n ~m:2 () in
-  let net =
-    Network.create ~graph:g.graph ~policy:Aqt_policy.Policies.fifo ()
+  let seeds = 122 in
+  let params, g, st =
+    Aqt.Instability.spacetime ~eps:(Ratio.make 1 5) ~seeds ()
   in
-  let seed = (2 * params.s0) + 2 in
-  for _ = 1 to seed do
-    ignore (Network.place_initial ~tag:"seed" net (G.seed_route g))
-  done;
   Printf.printf
     "Startup (Lemma 3.15) then pump (Lemma 3.6) on %s, %d seeds, r = %s.\n\n"
-    (G.describe g) seed
+    (G.describe g) seeds
     (Ratio.to_string params.rate);
-  let st = Spacetime.make net in
-  run_phase st net (Aqt.Startup.phase ~params ~gadget:g);
-  run_phase st net (fun n t -> Aqt.Pump.phase ~params ~gadget:g ~k:1 n t);
-  Spacetime.print st;
+  Aqt_engine.Spacetime.print st;
   Printf.printf
     "\nReading the map: a0's seed queue (top) feeds gadget 1's e-path (e1_*),\n\
      whose standing queues then migrate to gadget 2's e-path (e2_*) during\n\

@@ -11,11 +11,8 @@
    FIFO, showing the analysis is tight. *)
 
 module Ratio = Aqt_util.Ratio
-module Build = Aqt_graph.Build
 module Network = Aqt_engine.Network
-module Sim = Aqt_engine.Sim
 module Policies = Aqt_policy.Policies
-module Stock = Aqt_adversary.Stock
 module Tbl = Aqt_util.Tbl
 
 let d = 5
@@ -23,13 +20,10 @@ let w = 60
 let horizon = 12_000
 
 let certify tbl policy rate =
-  let line = Build.line d in
-  let net = Network.create ~log_injections:true ~graph:line.graph ~policy () in
-  let adversary =
-    Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ] ~horizon
-      ()
+  let net =
+    Aqt.Stability.line_burst ~log_injections:true ~policy ~d ~w ~rate ~horizon
+      ~steps:(horizon + 100) ()
   in
-  let _ = Sim.run ~net ~driver:adversary.driver ~horizon:(horizon + 100) () in
   let legal =
     Aqt_adversary.Rate_check.check_windowed ~m:d ~w ~rate
       (Network.injection_log net)

@@ -76,3 +76,10 @@ let cycle ?(on_cycle = fun _ _ -> ()) ?(on_phase = fun _ _ -> ()) phases =
   in
   (* The first cycle also goes through [next_phases], so start empty. *)
   make_driver ~next_phases ~on_phase (fresh_state [])
+
+let run ?recorder ?(wrap = Fun.id) net phase =
+  let driver, duration = phase net (Network.now net + 1) in
+  if duration < 1 then
+    invalid_arg "Phased: phase returned non-positive duration";
+  ignore (Sim.run ?recorder ~net ~driver:(wrap driver) ~horizon:duration ());
+  duration

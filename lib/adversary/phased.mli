@@ -28,3 +28,15 @@ val cycle :
   Aqt_engine.Sim.driver
 (** Like {!sequence} but restarts the phase list forever.  [on_cycle k start]
     fires when cycle [k] (0-based) begins. *)
+
+val run :
+  ?recorder:Aqt_engine.Recorder.t ->
+  ?wrap:(Aqt_engine.Sim.driver -> Aqt_engine.Sim.driver) ->
+  Aqt_engine.Network.t ->
+  phase ->
+  int
+(** [run net phase] builds [phase] at step [now + 1], runs exactly its
+    duration in steps and returns that duration.  [wrap] decorates the
+    phase's driver (e.g. {!Aqt_engine.Spacetime.driver_wrap}); [recorder]
+    observes every step.
+    @raise Invalid_argument if the phase's duration is below 1. *)

@@ -47,22 +47,6 @@ let require cond fmt =
     (fun msg -> if not cond then raise (Check_failed msg))
     fmt
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "aqt_check_faults_%d_%d" (Unix.getpid ()) !counter)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
 let entry name : Registry.entry =
   {
     name;
@@ -96,18 +80,13 @@ let no_temp_files cache =
 let outcome_of (r : Scheduler.task_result) = r.outcome
 
 let case name f =
-  let dir = fresh_dir () in
-  let result =
-    try
-      f dir;
-      { case = name; passed = true; detail = "ok" }
-    with
-    | Check_failed msg -> { case = name; passed = false; detail = msg }
-    | e ->
-        { case = name; passed = false; detail = Printexc.to_string e }
-  in
-  (try rm_rf dir with Sys_error _ | Unix.Unix_error _ -> ());
-  result
+  Aqt_harness.Fs.with_temp_dir ~prefix:"aqt_check_faults" @@ fun dir ->
+  try
+    f dir;
+    { case = name; passed = true; detail = "ok" }
+  with
+  | Check_failed msg -> { case = name; passed = false; detail = msg }
+  | e -> { case = name; passed = false; detail = Printexc.to_string e }
 
 let cache_write_crash_retries dir =
   (* One crash mid-store: the attempt fails after the run body, the retry

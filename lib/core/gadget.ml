@@ -77,6 +77,12 @@ let stitch_edge t =
 
 let seed_route t = [| t.a.(0) |]
 
+let seed t net count =
+  let route = seed_route t in
+  for _ = 1 to count do
+    ignore (Aqt_engine.Network.place_initial ~tag:"seed" net route)
+  done
+
 let e_remaining t ~k ~i =
   check_k t k;
   if i < 1 || i > t.n then invalid_arg "Gadget.e_remaining: i out of range";

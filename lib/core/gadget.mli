@@ -57,6 +57,11 @@ val stitch_edge : t -> int
 val seed_route : t -> int array
 (** [[a_0]] — the single-edge route of initial/fresh packets. *)
 
+val seed : t -> Aqt_engine.Network.t -> int -> unit
+(** [seed g net count] places [count] packets tagged ["seed"] on
+    {!seed_route}: the initial queue at the ingress of F(1) that the
+    startup adversary (Lemma 3.15) consumes. *)
+
 val e_remaining : t -> k:int -> i:int -> int array
 (** [e_i, e_(i+1), .., e_n, a_k] — the remaining route required of packets in
     the buffer of [e_i] by the invariant C(S, F(k)) (Def 3.5(2)). *)

@@ -78,10 +78,7 @@ let run ?(policy = Aqt_policy.Policies.fifo) ?tie_order ?(resilient = false)
     Network.create ~log_injections:cfg.log_injections ?tie_order
       ~graph:gadget.graph ~policy ()
   in
-  let seed_route = Gadget.seed_route gadget in
-  for _ = 1 to cfg.seed do
-    ignore (Network.place_initial ~tag:"seed" net seed_route)
-  done;
+  Gadget.seed gadget net cfg.seed;
   let stats = Dyn.create () in
   let on_cycle k t =
     Dyn.push stats
@@ -117,3 +114,16 @@ let run ?(policy = Aqt_policy.Policies.fifo) ?tie_order ?(resilient = false)
         float_of_int stats.(i + 1).seed /. float_of_int (max 1 stats.(i).seed))
   in
   { stats; growth; outcome; net; gadget; collapsed }
+
+let spacetime ?every ~eps ~seeds () =
+  let params = Params.make ~eps ~s0:(max 20 ((seeds - 2) / 2)) () in
+  let gadget = Gadget.cyclic ~n:params.n ~m:2 () in
+  let net =
+    Network.create ~graph:gadget.graph ~policy:Aqt_policy.Policies.fifo ()
+  in
+  Gadget.seed gadget net seeds;
+  let st = Aqt_engine.Spacetime.make ?every net in
+  let wrap = Aqt_engine.Spacetime.driver_wrap st in
+  ignore (Phased.run ~wrap net (Startup.phase ~params ~gadget));
+  ignore (Phased.run ~wrap net (Pump.phase ~params ~gadget ~k:1));
+  (params, gadget, st)

@@ -78,3 +78,15 @@ val run :
 
 val phases : config -> Gadget.t -> Aqt_adversary.Phased.phase list
 (** One cycle's phase list, exposed for tests and partial runs. *)
+
+val spacetime :
+  ?every:int ->
+  eps:Aqt_util.Ratio.t ->
+  seeds:int ->
+  unit ->
+  Params.t * Gadget.t * Aqt_engine.Spacetime.t
+(** The space-time scenario of [aqt_sim spacetime], the report's heatmap
+    and [examples/spacetime_view.ml]: [seeds] packets at the ingress of
+    F(1) on the two-gadget cyclic chain (S0 = max 20 ((seeds - 2) / 2)),
+    then startup and one pump under FIFO, sampled every [every] steps
+    (default 1).  Returns the parameters, the chain and the samples. *)

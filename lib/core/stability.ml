@@ -66,6 +66,20 @@ let converted_driver ~initial ~(driver : Aqt_engine.Sim.driver) :
         driver.Aqt_engine.Sim.observe_queues;
   }
 
+let line_burst ?recorder ?log_injections ?(initial = 0) ~policy ~d ~w ~rate
+    ~horizon ~steps () =
+  let line = Aqt_graph.Build.line d in
+  let net = Network.create ?log_injections ~graph:line.graph ~policy () in
+  for _ = 1 to initial do
+    ignore (Network.place_initial net line.edges)
+  done;
+  let adv =
+    Aqt_adversary.Stock.windowed_burst ~packed:true ~w ~rate
+      ~routes:[ line.edges ] ~horizon ()
+  in
+  ignore (Aqt_engine.Sim.run ?recorder ~net ~driver:adv.driver ~horizon:steps ());
+  net
+
 type verdict = { bound : int; max_dwell_seen : int; max_pending : int; ok : bool }
 
 let verify_run ?(s_initial = 0) ~w ~rate ~d net =

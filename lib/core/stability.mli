@@ -73,6 +73,23 @@ val converted_driver :
     step later; its injection log satisfies the (w°, r°) constraint for any
     r° > r and w° = ceil((S + w + 1) / (r° - r)). *)
 
+val line_burst :
+  ?recorder:Aqt_engine.Recorder.t ->
+  ?log_injections:bool ->
+  ?initial:int ->
+  policy:Aqt_engine.Policy_type.t ->
+  d:int ->
+  w:int ->
+  rate:Aqt_util.Ratio.t ->
+  horizon:int ->
+  steps:int ->
+  unit ->
+  Aqt_engine.Network.t
+(** The certificate workload: a line of [d] edges holding [initial] packets
+    (default 0) on its whole route, then the packed (w, rate) burst
+    adversary on that route for [horizon] steps.  Runs [steps] steps and
+    returns the network for {!verify_run}. *)
+
 type verdict = {
   bound : int;
   max_dwell_seen : int;  (** Completed dwells over the run. *)

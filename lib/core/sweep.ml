@@ -1,6 +1,9 @@
 module Network = Aqt_engine.Network
 module Sim = Aqt_engine.Sim
 module Recorder = Aqt_engine.Recorder
+module Ratio = Aqt_util.Ratio
+module Net_spec = Aqt_graph.Net_spec
+module Stock = Aqt_adversary.Stock
 
 type verdict = Stable | Growing | Blowup
 
@@ -61,3 +64,52 @@ let classify ?(blowup = 200_000) ?route_table ~name ~graph ~policy ~adversary
     final_backlog;
     steps_run = outcome.Sim.steps_run;
   }
+
+let grid_headers = [ "policy"; "rate"; "verdict"; "max queue"; "final backlog" ]
+
+let grid ?(workers = 1) ~network ~d ~policies ~rates ~horizon () =
+  let graph, routes = Net_spec.build ~d network in
+  let n_routes = Ratio.of_int (max 1 (List.length routes)) in
+  let cells =
+    List.concat_map (fun p -> List.map (fun r -> (p, r)) rates) policies
+  in
+  (* Each cell's network interns its own routes: no state is shared. *)
+  let run_cell (policy, rate) =
+    let adversary =
+      Stock.shared_token_bucket ~rate:(Ratio.div rate n_routes) ~routes
+        ~horizon ()
+    in
+    let r = classify ~name:"sweep" ~graph ~policy ~adversary ~horizon () in
+    [
+      r.policy;
+      Ratio.to_string rate;
+      verdict_to_string r.verdict;
+      string_of_int r.max_queue;
+      string_of_int r.final_backlog;
+    ]
+  in
+  let workers = max 1 (min workers (List.length cells)) in
+  Aqt_util.Parallel.map ~workers run_cell cells
+
+type arrivals = Bursts | Bernoulli of int
+
+type run = {
+  net : Network.t;
+  adversary : Stock.t;
+  outcome : Sim.outcome;
+  n_routes : int;
+}
+
+let simulate ?capacity ~network ~d ~policy ~rate ~arrivals ~horizon () =
+  let graph, routes = Net_spec.build ~d network in
+  let n_routes = List.length routes in
+  let rate = Ratio.div rate (Ratio.of_int (max 1 (min d n_routes))) in
+  let adversary =
+    match arrivals with
+    | Bursts -> Stock.windowed_burst ~w:40 ~rate ~routes ~horizon ()
+    | Bernoulli seed ->
+        Stock.bernoulli ~prng:(Aqt_util.Prng.create seed) ~rate ~routes ()
+  in
+  let net = Network.create ?capacity ~graph ~policy () in
+  let outcome = Sim.run ~net ~driver:adversary.driver ~horizon () in
+  { net; adversary; outcome; n_routes }

@@ -39,3 +39,45 @@ val classify :
     on); pass one [route_table] across the cells of a grid — all on the same
     graph — to validate and intern each distinct route once for the whole
     sweep. *)
+
+(** {1 The scenarios behind [aqt_sim sweep]/[simulate] and [/sweep]/[/simulate]}
+
+    Both build [Aqt_graph.Net_spec.build ~d network] and split an aggregate
+    per-edge [rate] over its routes. *)
+
+val grid_headers : string list
+
+val grid :
+  ?workers:int ->
+  network:Aqt_graph.Net_spec.t ->
+  d:int ->
+  policies:Aqt_engine.Policy_type.t list ->
+  rates:Aqt_util.Ratio.t list ->
+  horizon:int ->
+  unit ->
+  string list list
+(** One {!grid_headers} row per (policy, rate) cell, policy-major: {!classify}
+    against a shared token bucket giving each route [rate / routes].  Cells
+    shard over [workers] domains (default 1), each with its own route
+    intern table. *)
+
+type arrivals = Bursts  (** window-40 bursts *) | Bernoulli of int  (** seed *)
+
+type run = {
+  net : Aqt_engine.Network.t;
+  adversary : Aqt_adversary.Stock.t;
+  outcome : Aqt_engine.Sim.outcome;
+  n_routes : int;
+}
+
+val simulate :
+  ?capacity:Aqt_capacity.Model.t ->
+  network:Aqt_graph.Net_spec.t ->
+  d:int ->
+  policy:Aqt_engine.Policy_type.t ->
+  rate:Aqt_util.Ratio.t ->
+  arrivals:arrivals ->
+  horizon:int ->
+  unit ->
+  run
+(** Runs [horizon] steps with [rate / min d routes] on each route. *)

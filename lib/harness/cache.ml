@@ -1,14 +1,8 @@
 module Jsonx = Aqt_util.Jsonx
 type t = { dir : string }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ~dir =
-  mkdir_p dir;
+  Fs.mkdir_p dir;
   { dir }
 
 let dir t = t.dir
@@ -60,7 +54,7 @@ let store t ~key ~name ~spec ~duration result =
         ("result", Registry.result_to_json result);
       ]
   in
-  mkdir_p t.dir;
+  Fs.mkdir_p t.dir;
   (* Unique temp per writer: scheduler domains may store concurrently, and
      separate processes may share one cache dir, so the name must key on
      both the PID and the domain id — domain ids alone collide across

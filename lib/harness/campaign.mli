@@ -19,6 +19,10 @@ type options = {
   quiet : bool;  (** Suppress progress lines and the summary table. *)
 }
 
+val code_salt : string
+(** Mixed into every cache key; bump it whenever simulation results change
+    (the harness tests pin it to a digest of reference trajectories). *)
+
 val default_options : options
 (** [dir = "_campaign"], no filter, [retries = 1], the built-in code
     salt, verbose. *)

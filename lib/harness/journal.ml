@@ -231,14 +231,8 @@ type writer = {
   mutable degraded : bool;
 }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create path =
-  mkdir_p (Filename.dirname path);
+  Fs.mkdir_p (Filename.dirname path);
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
   in

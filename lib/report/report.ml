@@ -4,11 +4,7 @@ module Campaign = Aqt_harness.Campaign
 module Journal = Aqt_harness.Journal
 module Scheduler = Aqt_harness.Scheduler
 module D = Aqt_graph.Digraph
-module Build = Aqt_graph.Build
-module Network = Aqt_engine.Network
-module Sim = Aqt_engine.Sim
 module Spacetime = Aqt_engine.Spacetime
-module Phased = Aqt_adversary.Phased
 module Stock = Aqt_adversary.Stock
 module Policies = Aqt_policy.Policies
 module G = Aqt.Gadget
@@ -203,14 +199,8 @@ let sweep_rates =
   ]
 
 let render_sweep _ =
-  let k = 8 and d = 4 and horizon = 4_000 in
-  let w = 40 in
-  let ring = Build.ring k in
-  let graph = ring.Build.graph in
-  let routes =
-    List.init k (fun i ->
-        Array.init d (fun j -> ring.Build.edges.((i + j) mod k)))
-  in
+  let d = 4 and horizon = 4_000 and w = 40 in
+  let graph, routes = Aqt_graph.Net_spec.(build ~d (Ring 8)) in
   let route_table = Aqt_engine.Route_intern.create () in
   let policies = Policies.all_deterministic in
   let matrix =
@@ -497,29 +487,9 @@ let render_loadgen_latency _ =
 let render_spacetime _ =
   (* The `aqt_sim spacetime` scenario: small enough to read (and to
      commit as SVG), big enough to show the pump moving the queue. *)
-  let eps = Ratio.make 1 5 in
-  let seed = 122 in
-  let params = Aqt.Params.make ~eps ~s0:(max 20 ((seed - 2) / 2)) () in
-  let g = G.cyclic ~n:params.Aqt.Params.n ~m:2 () in
-  let net = Network.create ~graph:g.G.graph ~policy:Policies.fifo () in
-  for _ = 1 to seed do
-    ignore (Network.place_initial ~tag:"seed" net (G.seed_route g))
-  done;
-  let st = Spacetime.make ~every:4 net in
-  let run_phase phase =
-    let duration = ref 0 in
-    let wrapped : Phased.phase =
-     fun net t ->
-      let d, dur = phase net t in
-      duration := dur;
-      (d, dur)
-    in
-    let driver = Spacetime.driver_wrap st (Phased.sequence [ wrapped ]) in
-    ignore (Sim.run ~net ~driver ~horizon:1 ());
-    ignore (Sim.run ~net ~driver ~horizon:(!duration - 1) ())
+  let _, _, st =
+    Aqt.Instability.spacetime ~every:4 ~eps:(Ratio.make 1 5) ~seeds:122 ()
   in
-  run_phase (Aqt.Startup.phase ~params ~gadget:g);
-  run_phase (Aqt.Pump.phase ~params ~gadget:g ~k:1);
   let every = Spacetime.every st in
   let matrix = Spacetime.matrix st in
   let labels = Spacetime.labels st in
@@ -799,12 +769,6 @@ let default_figures () =
 (* Generation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect
@@ -936,7 +900,7 @@ let generate ?figures ?only ?bench_csv ~registry ~options ~out () =
           ids
   in
   let ctx = build_ctx ?bench_csv ~registry ~options figures in
-  mkdir_p out;
+  Aqt_harness.Fs.mkdir_p out;
   let paths =
     List.map
       (fun f ->

@@ -579,7 +579,7 @@ let admitted_path =
 let selftest ?(quiet = false) ?(requests = 20_000) ?(conns = 64)
     ?(rho = 2000.) ?(sigma = 200) ?(snapshot_every = 0.)
     ?(emit = fun (_ : result) -> ()) () =
-  Selftest.with_temp_dir ~prefix:"aqt-loadgen" @@ fun dir ->
+  Aqt_harness.Fs.with_temp_dir ~prefix:"aqt-loadgen" @@ fun dir ->
   let scfg =
     {
       Server.default_config with

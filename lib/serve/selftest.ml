@@ -1,29 +1,6 @@
 module Prng = Aqt_util.Prng
 module Jsonx = Aqt_util.Jsonx
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let with_temp_dir ~prefix f =
-  let base = Filename.get_temp_dir_name () in
-  let rec go i =
-    let d =
-      Filename.concat base (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) i)
-    in
-    match Unix.mkdir d 0o755 with
-    | () -> d
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
-  in
-  let dir = go 0 in
-  Fun.protect
-    ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
-    (fun () -> f dir)
-
 (* [clients] domains, [each] sequential requests per domain; returns every
    response status, [-1] standing for "no complete response" (the failure
    the no-hangs check looks for). *)
@@ -55,7 +32,7 @@ let cached_field body =
   | _ -> None
 
 let run ?(quiet = false) () =
-  with_temp_dir ~prefix:"aqt-serve-selftest" @@ fun dir ->
+  Aqt_harness.Fs.with_temp_dir ~prefix:"aqt-serve-selftest" @@ fun dir ->
   let cfg =
     {
       Server.default_config with

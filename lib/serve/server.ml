@@ -1,7 +1,6 @@
 module Ratio = Aqt_util.Ratio
 module Prng = Aqt_util.Prng
 module Jsonx = Aqt_util.Jsonx
-module Parallel = Aqt_util.Parallel
 module Net_spec = Aqt_graph.Net_spec
 module Network = Aqt_engine.Network
 module Sim = Aqt_engine.Sim
@@ -421,45 +420,16 @@ let sweep_spec p =
   ]
 
 (* Same grid as `aqt_sim sweep`, built into a Registry.result so it can be
-   content-addressed into the shared campaign cache.  Cells are
-   independent (policy, rate) classifications, so they shard across
-   domains; each cell interns its own routes, which costs a little
-   duplicate work in exchange for no shared mutable state. *)
+   content-addressed into the shared campaign cache; the cells shard
+   across [shards] domains. *)
 let compute_sweep ?(shards = 1) p =
-  let graph, routes = Net_spec.build ~d:p.sp_d p.sp_net in
-  let cells =
-    List.concat_map
-      (fun policy -> List.map (fun rate -> (policy, rate)) p.sp_rates)
-      p.sp_policies
+  let rows =
+    Aqt.Sweep.grid ~workers:shards ~network:p.sp_net ~d:p.sp_d
+      ~policies:p.sp_policies ~rates:p.sp_rates ~horizon:p.sp_horizon ()
   in
-  let run_cell ((policy : Aqt_engine.Policy_type.t), rate) =
-    let route_table = Aqt_engine.Route_intern.create () in
-    let per_route =
-      Ratio.div rate (Ratio.of_int (max 1 (List.length routes)))
-    in
-    let adv =
-      Stock.shared_token_bucket ~rate:per_route ~routes ~horizon:p.sp_horizon ()
-    in
-    let adv = { adv with Stock.rate } in
-    let report =
-      Aqt.Sweep.classify ~route_table ~name:"serve.sweep" ~graph ~policy
-        ~adversary:adv ~horizon:p.sp_horizon ()
-    in
-    [
-      policy.name;
-      Ratio.to_string rate;
-      Aqt.Sweep.verdict_to_string report.Aqt.Sweep.verdict;
-      string_of_int report.Aqt.Sweep.max_queue;
-      string_of_int report.Aqt.Sweep.final_backlog;
-    ]
-  in
-  let workers = max 1 (min shards (List.length cells)) in
-  let rows = Parallel.map ~workers run_cell cells in
   let rb = Registry.Rb.create () in
-  Registry.Rb.table rb ~id:"serve_sweep"
-    ~headers:[ "policy"; "rate"; "verdict"; "max queue"; "final backlog" ]
-    rows;
-  Registry.Rb.metric rb "cells" (float_of_int (List.length cells));
+  Registry.Rb.table rb ~id:"serve_sweep" ~headers:Aqt.Sweep.grid_headers rows;
+  Registry.Rb.metric rb "cells" (float_of_int (List.length rows));
   Registry.Rb.result rb
 
 let result_payload ~name ~key ~cached ~duration result =
@@ -609,16 +579,11 @@ let simulate_handler t rng q =
            seeds, and the chosen seed is reported so the run can be replayed. *)
         Int64.to_int (Prng.bits64 rng) land 0x3FFFFFFF
   in
-  let graph, routes = Net_spec.build ~d spec in
-  let nroutes = List.length routes in
-  let per_route = Ratio.div rate (Ratio.of_int (max 1 (min d nroutes))) in
-  let adv =
-    if stochastic then
-      Stock.bernoulli ~prng:(Prng.create seed) ~rate:per_route ~routes ()
-    else Stock.windowed_burst ~w:40 ~rate:per_route ~routes ~horizon ()
+  let { Aqt.Sweep.net; adversary = adv; outcome; _ } =
+    Aqt.Sweep.simulate ~capacity ~network:spec ~d ~policy ~rate
+      ~arrivals:(if stochastic then Bernoulli seed else Bursts)
+      ~horizon ()
   in
-  let net = Network.create ~capacity ~graph ~policy () in
-  let outcome = Sim.run ~net ~driver:adv.Stock.driver ~horizon () in
   let injected = Network.injected_count net in
   let dropped = Network.dropped net in
   let edge_drops =
@@ -627,7 +592,7 @@ let simulate_handler t rng q =
         match Network.dropped_on_edge net e with
         | 0 -> None
         | n -> Some (e, n))
-      (List.init (Aqt_graph.Digraph.n_edges graph) Fun.id)
+      (List.init (Aqt_graph.Digraph.n_edges (Network.graph net)) Fun.id)
   in
   (* Per-edge drop counters carry the edge id as an inline Prometheus
      label; simulate networks are small, so the label set stays modest.

@@ -571,7 +571,28 @@ let phased_bad_duration () =
   let driver = Phased.sequence [ (fun _ _ -> (Sim.null_driver, 0)) ] in
   Alcotest.check_raises "zero duration"
     (Invalid_argument "Phased: phase returned non-positive duration")
-    (fun () -> ignore (Sim.run ~net ~driver ~horizon:3 ()))
+    (fun () -> ignore (Sim.run ~net ~driver ~horizon:3 ()));
+  Alcotest.check_raises "zero duration under run"
+    (Invalid_argument "Phased: phase returned non-positive duration")
+    (fun () -> ignore (Phased.run net (fun _ _ -> (Sim.null_driver, 0))))
+
+(* [Phased.run] builds each phase at now + 1 and runs exactly its
+   duration, so back-to-back runs start where the last one stopped. *)
+let phased_run_exact_duration () =
+  let l = B.line 2 in
+  let net = N.create ~graph:l.graph ~policy:Policies.fifo () in
+  let starts = ref [] in
+  let phase dur : Phased.phase =
+   fun _ start ->
+    starts := start :: !starts;
+    (Sim.injections_only (fun _ _ -> [ { N.route = l.edges; tag = "x" } ]), dur)
+  in
+  check_int "first duration" 3 (Phased.run net (phase 3));
+  check_int "now after first" 3 (N.now net);
+  check_int "second duration" 2 (Phased.run net (phase 2));
+  check_int "now after second" 5 (N.now net);
+  check_bool "phase starts" true (List.rev !starts = [ 1; 4 ]);
+  check_int "one injection per step" 5 (N.injected_count net)
 
 (* ------------------------------------------------------------------ *)
 (* scan_edge: the exported potential scan                               *)
@@ -737,5 +758,6 @@ let () =
           Alcotest.test_case "sequence order" `Quick phased_sequence_runs_in_order;
           Alcotest.test_case "cycle repeats" `Quick phased_cycle_repeats;
           Alcotest.test_case "bad duration" `Quick phased_bad_duration;
+          Alcotest.test_case "run exact duration" `Quick phased_run_exact_duration;
         ] );
     ]

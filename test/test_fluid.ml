@@ -70,23 +70,8 @@ let agrees_with_simulation () =
   let seed = (2 * params.s0) + 2 in
   let g = G.cyclic ~n:params.n ~m:3 () in
   let net = N.create ~graph:g.graph ~policy:Policies.fifo () in
-  for _ = 1 to seed do
-    ignore (N.place_initial ~tag:"seed" net (G.seed_route g))
-  done;
-  let run_phase phase =
-    let duration = ref 0 in
-    let wrapped : Phased.phase =
-     fun net t ->
-      let d, dur = phase net t in
-      duration := dur;
-      (d, dur)
-    in
-    let driver = Phased.sequence [ wrapped ] in
-    ignore (Sim.run ~net ~driver ~horizon:1 ());
-    (driver, !duration)
-  in
-  let driver, dur = run_phase (Aqt.Startup.phase ~params ~gadget:g) in
-  ignore (Sim.run ~net ~driver ~horizon:(dur - 1) ());
+  G.seed g net seed;
+  ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
   let m1 = Aqt.Invariant.measure net g ~k:1 in
   let total_old = m1.s_epath + m1.s_ingress in
   let fluid = F.pump_profile ~r:params.r ~n:params.n ~total_old in

@@ -561,6 +561,89 @@ let scheduler_parallel_campaign () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Code salt pinned to trajectories                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Cached results are keyed by [Campaign.code_salt], so a change in what
+   the engines compute must come with a salt bump, or campaigns and the
+   daemon keep serving results of the old semantics.  Three sub-second
+   deterministic runs are digested and pinned next to the salt: the
+   space-time scenario (FIFO on the gadget chain, with the startup
+   reroutes), a uniform drop-head run under LIS, and a two-domain
+   struct-of-arrays run. *)
+let pinned_salt = "aqt-campaign-1"
+let pinned_digest = "c143de51f24f7fbeedd28fa19f4f0901"
+
+let trajectory_digest () =
+  let module Ratio = Aqt_util.Ratio in
+  let module Network = Aqt_engine.Network in
+  let module Backend = Aqt_engine.Backend in
+  let b = Buffer.create 65536 in
+  let _, _, st =
+    Aqt.Instability.spacetime ~every:4 ~eps:(Ratio.make 1 5) ~seeds:122 ()
+  in
+  let labels = Aqt_engine.Spacetime.labels st in
+  Array.iteri
+    (fun e row ->
+      Buffer.add_string b labels.(e);
+      Array.iter (fun v -> Printf.bprintf b " %g" v) row;
+      Buffer.add_char b '\n')
+    (Aqt_engine.Spacetime.matrix st);
+  let graph, routes = Aqt_graph.Net_spec.(build ~d:4 (Ring 8)) in
+  let net =
+    Network.create
+      ~capacity:(Aqt_capacity.Model.uniform ~policy:Drop_head 2)
+      ~graph ~policy:Aqt_policy.Policies.lis ()
+  in
+  let adv =
+    Aqt_adversary.Stock.bernoulli ~prng:(Aqt_util.Prng.create 11)
+      ~rate:(Ratio.make 3 10) ~routes ()
+  in
+  for _ = 1 to 2000 do
+    let t = Network.now net + 1 in
+    Network.step net (adv.driver.injections_at net t);
+    Printf.bprintf b "%d %d %d %d;" (Network.in_flight net)
+      (Network.dropped net) (Network.displaced net) (Network.absorbed net)
+  done;
+  let ring = Aqt_graph.Build.ring 16 in
+  let soa =
+    Backend.create ~backend:(`Soa 2) ~graph:ring.graph
+      ~policy:Aqt_policy.Policies.fifo ()
+  in
+  Fun.protect ~finally:(fun () -> Backend.shutdown soa) (fun () ->
+      let prng = Aqt_util.Prng.create 5 in
+      let route k = Array.init 5 (fun i -> ring.edges.((k + i) mod 16)) in
+      for k = 0 to 15 do
+        ignore (Backend.place_initial soa (route k))
+      done;
+      for _ = 1 to 500 do
+        let injs =
+          List.filter_map
+            (fun k ->
+              if Aqt_util.Prng.int prng 5 = 0 then
+                Some { Backend.route = route k; tag = "pin" }
+              else None)
+            (List.init 16 Fun.id)
+        in
+        Backend.step soa injs;
+        Printf.bprintf b "%d %d;" (Backend.in_flight soa) (Backend.absorbed soa)
+      done;
+      for e = 0 to 15 do
+        List.iter
+          (fun (v : Backend.view) -> Printf.bprintf b " %d@%d" v.v_id v.v_hop)
+          (Backend.buffer_packets soa e)
+      done);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let code_salt_pins_trajectories () =
+  let salt = Aqt_harness.Campaign.code_salt and digest = trajectory_digest () in
+  if (salt, digest) <> (pinned_salt, pinned_digest) then
+    Alcotest.failf
+      "trajectories changed (salt %S, digest %s; pinned %S, %s): bump \
+       Campaign.code_salt and update the pin"
+      salt digest pinned_salt pinned_digest
+
 let () =
   Alcotest.run "aqt_harness"
     [
@@ -585,6 +668,8 @@ let () =
         ] );
       ( "cache",
         [
+          Alcotest.test_case "code salt pins trajectories" `Quick
+            code_salt_pins_trajectories;
           Alcotest.test_case "round-trip" `Quick cache_roundtrip;
           Alcotest.test_case "corrupt file" `Quick cache_corrupt_is_miss;
           Alcotest.test_case "store over existing" `Quick

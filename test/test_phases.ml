@@ -19,36 +19,16 @@ let check_bool = Alcotest.(check bool)
 let eps = R.make 1 5
 let params = Aqt.Params.make ~eps ~s0:400 ()
 
-(* Run one phase to completion on a network. *)
-let run_phase net phase =
-  let duration = ref 0 in
-  let wrapped : Phased.phase =
-   fun net t ->
-    let d, dur = phase net t in
-    duration := dur;
-    (d, dur)
-  in
-  let driver = Phased.sequence [ wrapped ] in
-  ignore (Sim.run ~net ~driver ~horizon:1 ());
-  ignore (Sim.run ~net ~driver ~horizon:(!duration - 1) ());
-  !duration
-
-let fresh_seeded ~m ~seed =
-  let g = G.cyclic ~n:params.n ~m () in
-  let net = N.create ~graph:g.graph ~policy:Policies.fifo () in
-  for _ = 1 to seed do
-    ignore (N.place_initial ~tag:"seed" net (G.seed_route g))
-  done;
-  (net, g)
-
 let seed = 2 * params.s0 + 2
 let slack = 4 * params.n (* generous integrality allowance *)
 
 (* Lemma 3.15: startup establishes C(S', F(1)) with S' close to the predicted
    2S(1-R_n) and above S(1+eps). *)
 let startup_postcondition () =
-  let net, g = fresh_seeded ~m:4 ~seed in
-  let duration = run_phase net (Aqt.Startup.phase ~params ~gadget:g) in
+  let g = G.cyclic ~n:params.n ~m:4 () in
+  let net = N.create ~graph:g.graph ~policy:Policies.fifo () in
+  G.seed g net seed;
+  let duration = Phased.run net (Aqt.Startup.phase ~params ~gadget:g) in
   check_int "duration 2S + n" (seed + params.n) duration;
   let m = I.measure net g ~k:1 in
   check_bool "invariant with slack" true
@@ -67,10 +47,12 @@ let startup_postcondition () =
 (* Lemma 3.6: the pump moves C(S, F(1)) to C(S', F(2)) with S' ~ S * 2(1-R_n),
    and empties gadget 1. *)
 let pump_postcondition () =
-  let net, g = fresh_seeded ~m:4 ~seed in
-  ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
+  let g = G.cyclic ~n:params.n ~m:4 () in
+  let net = N.create ~graph:g.graph ~policy:Policies.fifo () in
+  G.seed g net seed;
+  ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
   let before = I.measure net g ~k:1 in
-  ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+  ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
   let after = I.measure net g ~k:2 in
   check_bool "C on gadget 2" true (I.holds_with_slack ~slack net g ~k:2);
   let factor = Aqt.Params.pump_factor ~r:params.r ~n:params.n in
@@ -87,11 +69,13 @@ let pump_postcondition () =
 
 (* Two pumps in sequence keep compounding. *)
 let pump_composes () =
-  let net, g = fresh_seeded ~m:4 ~seed in
-  ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
-  ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+  let g = G.cyclic ~n:params.n ~m:4 () in
+  let net = N.create ~graph:g.graph ~policy:Policies.fifo () in
+  G.seed g net seed;
+  ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
+  ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
   let s2 = (I.measure net g ~k:2).s_ingress in
-  ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:2));
+  ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:2));
   let m3 = I.measure net g ~k:3 in
   check_bool "C on gadget 3" true (I.holds_with_slack ~slack net g ~k:3);
   check_bool "second pump grows too" true
@@ -102,14 +86,15 @@ let pump_composes () =
    single-edge packets at the chain's ingress, leaving nothing else. *)
 let stitch_postcondition () =
   let m_gadgets = 3 in
-  let net, g = fresh_seeded ~m:m_gadgets ~seed in
-  ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
-  ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
-  ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:2));
+  let g = G.cyclic ~n:params.n ~m:m_gadgets () in
+  let net = N.create ~graph:g.graph ~policy:Policies.fifo () in
+  G.seed g net seed;
+  ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
+  ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+  ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:2));
   (* Drain: idle until the egress holds the leftovers. *)
   let s_ing = N.buffer_len net (G.ingress g ~k:m_gadgets) in
-  let driver = Phased.sequence [ Phased.idle (s_ing + params.n) ] in
-  ignore (Sim.run ~net ~driver ~horizon:(s_ing + params.n) ());
+  ignore (Phased.run net (Phased.idle (s_ing + params.n)));
   let egress = G.egress g ~k:m_gadgets in
   let s_before = N.buffer_len net egress in
   check_bool "drain left a queue at the egress" true (s_before > params.s0 / 2);
@@ -123,7 +108,7 @@ let stitch_postcondition () =
     Aqt.Stitch.plan ~rate:params.rate ~relay:(G.stitch_route g)
       ~start:(tau + 1) ~s:s_before
   in
-  ignore (run_phase net (Aqt.Stitch.phase ~rate:params.rate ~gadget:g));
+  ignore (Phased.run net (Aqt.Stitch.phase ~rate:params.rate ~gadget:g));
   let fresh = N.buffer_packets net (G.ingress g ~k:1) in
   let n_fresh = List.length fresh in
   check_bool "fresh queue ~ r^3 S" true (abs (n_fresh - plan.r3s) <= slack);

@@ -359,25 +359,34 @@ let test_figure =
     render = (fun _ -> "<svg xmlns=\"http://www.w3.org/2000/svg\"></svg>");
   }
 
+(* A daemon on a fresh campaign dir, plus the function that stops it and
+   removes the dir. *)
 let boot ?(rho = 10_000.) ?(sigma = 100) ?(workers = 2) ?registry ?figures () =
-  Server.start ?registry ?figures
-    {
-      Server.default_config with
-      Server.port = 0;
-      workers;
-      rho;
-      sigma;
-      read_timeout = 2.;
-      write_timeout = 2.;
-      campaign_dir = temp_dir ();
-      snapshot_every = 0.;
-      journal = false;
-      quiet = true;
-    }
+  let dir = temp_dir () in
+  let srv =
+    Server.start ?registry ?figures
+      {
+        Server.default_config with
+        Server.port = 0;
+        workers;
+        rho;
+        sigma;
+        read_timeout = 2.;
+        write_timeout = 2.;
+        campaign_dir = dir;
+        snapshot_every = 0.;
+        journal = false;
+        quiet = true;
+      }
+  in
+  ( srv,
+    fun () ->
+      Server.stop srv;
+      Aqt_harness.Fs.rm_rf dir )
 
 let with_server ?rho ?sigma ?workers ?registry ?figures f =
-  let srv = boot ?rho ?sigma ?workers ?registry ?figures () in
-  Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv)
+  let srv, stop = boot ?rho ?sigma ?workers ?registry ?figures () in
+  Fun.protect ~finally:stop (fun () -> f srv)
 
 let get ?meth ?body srv path =
   match Http.request ?meth ?body ~timeout:10. ~port:(Server.port srv) path with
@@ -598,7 +607,7 @@ let serve_malformed_fuzz () =
 
 (* Graceful shutdown: in-flight requests complete, then the port closes. *)
 let serve_graceful_drain () =
-  let srv = boot () in
+  let srv, stop = boot () in
   let port = Server.port srv in
   let m = Server.metrics srv in
   let accepted = Metrics.counter m "serve_requests_total" in
@@ -626,7 +635,7 @@ let serve_graceful_drain () =
   (match Http.request ~timeout:2. ~port "/healthz" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "port should be closed after shutdown");
-  Server.stop srv (* idempotent *)
+  stop () (* Server.stop is idempotent *)
 
 (* The daemon journals Snapshot events with its metrics. *)
 let serve_journal_snapshot () =
@@ -649,6 +658,7 @@ let serve_journal_snapshot () =
   in
   ignore (get srv "/healthz");
   Server.stop srv;
+  Fun.protect ~finally:(fun () -> Aqt_harness.Fs.rm_rf dir) @@ fun () ->
   match Journal.files ~dir with
   | [] -> Alcotest.fail "no journal written"
   | file :: _ -> (
@@ -1050,6 +1060,7 @@ let serve_client_reuse_counts_one_conn () =
    budget.  Keyed on the x-client-id header so one loopback peer can
    impersonate two clients. *)
 let serve_per_client_isolation () =
+  let dir = temp_dir () in
   let srv =
     Server.start
       {
@@ -1063,14 +1074,16 @@ let serve_per_client_isolation () =
         client_key_header = "x-client-id";
         read_timeout = 2.;
         write_timeout = 2.;
-        campaign_dir = temp_dir ();
+        campaign_dir = dir;
         snapshot_every = 0.;
         journal = false;
         quiet = true;
       }
   in
   Fun.protect
-    ~finally:(fun () -> Server.stop srv)
+    ~finally:(fun () ->
+      Server.stop srv;
+      Aqt_harness.Fs.rm_rf dir)
     (fun () ->
       let ask id =
         match
@@ -1110,6 +1123,7 @@ let serve_fast_path_bypasses_admission () =
    overload does not charge a client that stayed inside its own
    (rho,sigma) envelope. *)
 let serve_endpoint_shed_refunds_client () =
+  let dir = temp_dir () in
   let srv =
     Server.start
       {
@@ -1122,14 +1136,16 @@ let serve_endpoint_shed_refunds_client () =
         client_sigma = 2;
         read_timeout = 2.;
         write_timeout = 2.;
-        campaign_dir = temp_dir ();
+        campaign_dir = dir;
         snapshot_every = 0.;
         journal = false;
         quiet = true;
       }
   in
   Fun.protect
-    ~finally:(fun () -> Server.stop srv)
+    ~finally:(fun () ->
+      Server.stop srv;
+      Aqt_harness.Fs.rm_rf dir)
     (fun () ->
       let statuses =
         List.init 4 (fun _ -> (get srv sim_tiny_path).Http.status)
@@ -1248,13 +1264,29 @@ let loadgen_selftest_cleans_up () =
   check_bool "no aqt-*-<pid>-* directory left" true (leftovers () = []);
   let seen = ref "" in
   (try
-     Aqt_serve.Selftest.with_temp_dir ~prefix:"aqt-unit" (fun d ->
+     Aqt_harness.Fs.with_temp_dir ~prefix:"aqt-unit" (fun d ->
          seen := d;
          Out_channel.with_open_text (Filename.concat d "f") ignore;
          failwith "boom")
    with Failure _ -> ());
   check_bool "removed when the body raises" false (Sys.file_exists !seen);
   check_bool "still nothing left" true (leftovers () = [])
+
+(* Every daemon here keeps its cache under an aqt_serve_test_<pid>_<n>
+   campaign dir, and none may outlive its test. *)
+let with_server_removes_campaign_dir () =
+  let leftovers () =
+    let prefix = Printf.sprintf "aqt_serve_test_%d_" (Unix.getpid ()) in
+    Sys.readdir (Filename.get_temp_dir_name ())
+    |> Array.to_list
+    |> List.filter (String.starts_with ~prefix)
+  in
+  with_server (fun srv ->
+      check_int "sweep computed" 200
+        (get srv "/sweep?network=ring:6&horizon=200&rates=1/4&policy=fifo")
+          .Http.status;
+      check_int "campaign dir in use" 1 (List.length (leftovers ())));
+  check_bool "no aqt_serve_test_<pid>_* dir left" true (leftovers () = [])
 
 let () =
   Alcotest.run "aqt_serve"
@@ -1343,5 +1375,7 @@ let () =
           Alcotest.test_case "report formats" `Quick loadgen_report_formats;
           Alcotest.test_case "selftest leaves no temp dir" `Quick
             loadgen_selftest_cleans_up;
+          Alcotest.test_case "with_server leaves no campaign dir" `Quick
+            with_server_removes_campaign_dir;
         ] );
     ]
