@@ -19,23 +19,23 @@ module Tbl = Aqt_util.Tbl
 (* Argument converters                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let ratio_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Ratio.of_string s) in
-  Arg.conv (parse, fun fmt r -> Ratio.pp fmt r)
+(* A converter over a library's parser/printer pair, so every [--help]
+   default prints in the syntax the flag accepts. *)
+let conv_of parse print =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
+      fun fmt x -> Format.pp_print_string fmt (print x) )
+
+let ratio_conv = conv_of Ratio.of_string Ratio.to_string
 
 let policy_conv =
   let parse s =
     try Ok (Policies.by_name s)
-    with Not_found -> Error (`Msg (Printf.sprintf "unknown policy %S" s))
+    with Not_found -> Error (Printf.sprintf "unknown policy %S" s)
   in
-  Arg.conv (parse, fun fmt (p : Policies.t) -> Format.pp_print_string fmt p.name)
+  conv_of parse (fun (p : Policies.t) -> p.name)
 
-let net_conv =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Net_spec.parse ~max_size:max_int s)
-  in
-  Arg.conv
-    (parse, fun fmt n -> Format.pp_print_string fmt (Net_spec.to_string n))
+let net_conv = conv_of (Net_spec.parse ~max_size:max_int) Net_spec.to_string
 
 (* [--backend record|soa] and [--domains N,...], shared by [check] and
    [fabric]: [None] is the record engine alone, [Some ds] adds the
@@ -765,45 +765,9 @@ let report_cmd =
 (* ------------------------------------------------------------------ *)
 
 let bench_gate_cmd =
-  (* Benchmark names in b_microbench.csv contain no commas or quotes, so a
-     plain split is a faithful parser for this format. *)
-  let load_csv path =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let split line = String.split_on_char ',' line in
-        let headers =
-          match input_line ic with
-          | h -> split h
-          | exception End_of_file ->
-              failwith (Printf.sprintf "%s: empty CSV" path)
-        in
-        let ns_col =
-          let rec idx i = function
-            | [] ->
-                failwith
-                  (Printf.sprintf "%s: no \"ns/run\" column in %s" path
-                     (String.concat "," headers))
-            | "ns/run" :: _ -> i
-            | _ :: rest -> idx (i + 1) rest
-          in
-          idx 0 headers
-        in
-        let rec rows acc =
-          match input_line ic with
-          | exception End_of_file -> List.rev acc
-          | line when String.trim line = "" -> rows acc
-          | line -> (
-              let cells = split line in
-              match (cells, float_of_string_opt (List.nth cells ns_col)) with
-              | name :: _, Some ns -> rows ((name, ns) :: acc)
-              | _ -> rows acc)
-        in
-        rows [])
-  in
   let run baseline current tolerance =
-    match (load_csv baseline, load_csv current) with
+    let load = Aqt_report.Report.read_bench_csv in
+    match (load baseline, load current) with
     | exception (Sys_error msg | Failure msg) ->
         Printf.eprintf "aqt_sim bench-gate: %s\n" msg;
         exit 2
@@ -1495,10 +1459,8 @@ let soa_scale_cmd =
     match out with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc (String.concat "," headers ^ "\n");
-        List.iter (fun r -> output_string oc (String.concat "," r ^ "\n")) rows;
-        close_out oc;
+        Aqt_util.Csv_out.with_file path ~headers (fun csv ->
+            Aqt_util.Csv_out.write_rows csv rows);
         Printf.printf "wrote %s\n" path
   in
   let edges =
@@ -1542,98 +1504,11 @@ let fabric_cmd =
   let module Scenario = Aqt_fabric.Scenario in
   let module Traffic = Aqt_workload.Traffic in
   let module Capacity = Aqt_capacity.Model in
-  let topo_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ "spine-leaf"; dims ] -> (
-          match String.split_on_char ',' dims with
-          | [ s'; l; h ] -> (
-              try
-                Ok
-                  (Scenario.Spine_leaf
-                     {
-                       spines = int_of_string s';
-                       leaves = int_of_string l;
-                       hosts_per_leaf = int_of_string h;
-                     })
-              with _ -> Error (`Msg "bad spine-leaf dims"))
-          | _ -> Error (`Msg "spine-leaf wants SPINES,LEAVES,HOSTS"))
-      | [ "fat-tree"; k ] -> (
-          try Ok (Scenario.Fat_tree { k = int_of_string k })
-          with _ -> Error (`Msg "bad fat-tree arity"))
-      | _ ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "unknown topology %S (spine-leaf:S,L,H | fat-tree:K)" s))
-    in
-    (* Build once to surface the generator's own range checks (odd or
-       tiny fat-tree arity, empty spine-leaf tiers) as usage errors. *)
-    let parse s =
-      Result.bind (parse s) (fun t ->
-          match Scenario.build_topo t with
-          | _ -> Ok t
-          | exception Invalid_argument msg -> Error (`Msg msg))
-    in
-    Arg.conv (parse, fun fmt t -> Format.pp_print_string fmt (Scenario.topo_name t))
-  in
+  let topo_conv = conv_of Scenario.topo_of_string Scenario.topo_to_string in
   let pattern_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ "permutation" ] -> Ok Traffic.Permutation
-      | [ "all-to-all" ] -> Ok Traffic.All_to_all
-      | [ "incast"; n ] -> (
-          try Ok (Traffic.Incast { senders = int_of_string n })
-          with _ -> Error (`Msg "bad incast sender count"))
-      | [ "hotspot"; f ] -> (
-          match String.split_on_char '/' f with
-          | [ n; d ] -> (
-              try
-                Ok
-                  (Traffic.Hotspot
-                     { hot_num = int_of_string n; hot_den = int_of_string d })
-              with _ -> Error (`Msg "bad hotspot fraction"))
-          | _ -> Error (`Msg "hotspot wants N/D"))
-      | _ ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "unknown pattern %S (permutation | incast:N | all-to-all | \
-                   hotspot:N/D)"
-                  s))
-    in
-    Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Traffic.pattern_name p))
+    conv_of Traffic.pattern_of_string Traffic.pattern_to_string
   in
-  let capacity_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ "unbounded" ] -> Ok Capacity.unbounded
-      | [ "shared"; total ] -> (
-          try Ok (Capacity.shared (int_of_string total))
-          with _ -> Error (`Msg "bad shared total"))
-      | [ "shared"; total; alpha ] -> (
-          match String.split_on_char '/' alpha with
-          | [ n; d ] -> (
-              try
-                Ok
-                  (Capacity.shared
-                     ~alpha_num:(int_of_string n) ~alpha_den:(int_of_string d)
-                     (int_of_string total))
-              with _ -> Error (`Msg "bad shared capacity"))
-          | _ -> Error (`Msg "alpha wants N/D"))
-      | [ "uniform"; k ] -> (
-          try Ok (Capacity.uniform (int_of_string k))
-          with _ -> Error (`Msg "bad uniform capacity"))
-      | _ ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "unknown capacity %S (unbounded | uniform:K | shared:TOTAL \
-                   | shared:TOTAL:A/B)"
-                  s))
-    in
-    Arg.conv (parse, fun fmt c -> Format.pp_print_string fmt (Capacity.describe c))
-  in
+  let capacity_conv = conv_of Capacity.of_string Capacity.to_string in
   let print_outcome (o : Scenario.outcome) =
     let c = Tbl.create ~headers:[ "metric"; "value" ] in
     Tbl.add_row c [ "backend"; o.backend ];
@@ -1656,21 +1531,27 @@ let fabric_cmd =
   let run list name_arg topo pattern util conns policy capacity horizon drain
       seed soa_domains =
     if list then begin
+      (* One column per flag, in the flag's own syntax: a row pastes back
+         as [--topo ... --horizon ...]. *)
       let tbl =
         Tbl.create
           ~headers:
-            [ "name"; "topology"; "pattern"; "util"; "policy"; "capacity" ]
+            [
+              "name"; "topo"; "pattern"; "util"; "policy"; "capacity";
+              "horizon";
+            ]
       in
       List.iter
         (fun (t : Scenario.t) ->
           Tbl.add_row tbl
             [
               t.name;
-              Scenario.topo_name t.topo;
-              Traffic.pattern_name t.pattern;
+              Scenario.topo_to_string t.topo;
+              Traffic.pattern_to_string t.pattern;
               Ratio.to_string t.utilisation;
               t.policy.name;
-              Capacity.describe t.capacity;
+              Capacity.to_string t.capacity;
+              string_of_int t.horizon;
             ])
         (Scenario.catalog ());
       Tbl.print tbl
@@ -1689,7 +1570,15 @@ let fabric_cmd =
             Scenario.make ~topo ~pattern ~utilisation:util
               ~conns_per_pair:conns ~policy ~capacity ~horizon ~drain ~seed ()
       in
-      let _, compiled = Scenario.compile base in
+      let fabric, compiled = Scenario.compile base in
+      (match
+         Capacity.check_edges base.capacity
+           ~m:(Aqt_graph.Digraph.n_edges fabric.Build.graph)
+       with
+      | Ok () -> ()
+      | Error e ->
+          Printf.eprintf "fabric: %s\n" e;
+          exit 2);
       print_endline (Traffic.describe compiled);
       let backends =
         match soa_domains with
@@ -1754,9 +1643,10 @@ let fabric_cmd =
       & opt capacity_conv Capacity.unbounded
       & info [ "capacity" ] ~docv:"CAP"
           ~doc:
-            "$(b,unbounded), $(b,uniform:K), $(b,shared:TOTAL) or \
-             $(b,shared:TOTAL:A/B) (shared Dynamic-Threshold with alpha = \
-             A/B).")
+            "$(b,unbounded), $(b,uniform:K[:drop-head]), \
+             $(b,per-edge:K1,...,Km[:drop-head]) or $(b,shared:T[:A/B]) \
+             (a Dynamic-Threshold pool of T slots with alpha = A/B), then \
+             $(b,@S) for link speedup S.")
   in
   let horizon =
     Arg.(

@@ -3,22 +3,19 @@ module Network = Aqt_engine.Network
 
 type phase = Network.t -> int -> Sim.driver * int
 
-let of_driver driver duration : phase =
-  if duration < 1 then invalid_arg "Phased.of_driver: duration must be >= 1";
-  fun _ _ -> (driver, duration)
-
-let idle duration = of_driver Sim.null_driver duration
+let idle duration : phase =
+  if duration < 1 then invalid_arg "Phased.idle: duration must be >= 1";
+  fun _ _ -> (Sim.null_driver, duration)
 
 type state = {
   mutable remaining : phase list;
   mutable current : Sim.driver option;
   mutable phase_end : int; (* last step of the current phase *)
-  mutable phase_index : int;
 }
 
 (* [next_phases t] supplies a fresh phase list when the current one is
    exhausted; returning [] ends the adversary (no further injections). *)
-let make_driver ~next_phases ~on_phase st =
+let make_driver ~next_phases st =
   let rec ensure_phase net t =
     match st.current with
     | Some _ when t <= st.phase_end -> ()
@@ -35,8 +32,6 @@ let make_driver ~next_phases ~on_phase st =
             let driver, duration = phase net t in
             if duration < 1 then
               invalid_arg "Phased: phase returned non-positive duration";
-            on_phase st.phase_index t;
-            st.phase_index <- st.phase_index + 1;
             st.current <- Some driver;
             st.phase_end <- t + duration - 1)
   in
@@ -61,12 +56,12 @@ let make_driver ~next_phases ~on_phase st =
   }
 
 let fresh_state phases =
-  { remaining = phases; current = None; phase_end = min_int; phase_index = 0 }
+  { remaining = phases; current = None; phase_end = min_int }
 
-let sequence ?(on_phase = fun _ _ -> ()) phases =
-  make_driver ~next_phases:(fun _ -> []) ~on_phase (fresh_state phases)
+let sequence phases =
+  make_driver ~next_phases:(fun _ -> []) (fresh_state phases)
 
-let cycle ?(on_cycle = fun _ _ -> ()) ?(on_phase = fun _ _ -> ()) phases =
+let cycle ?(on_cycle = fun _ _ -> ()) phases =
   if phases = [] then invalid_arg "Phased.cycle: empty phase list";
   let cycle_no = ref 0 in
   let next_phases t =
@@ -75,7 +70,7 @@ let cycle ?(on_cycle = fun _ _ -> ()) ?(on_phase = fun _ _ -> ()) phases =
     phases
   in
   (* The first cycle also goes through [next_phases], so start empty. *)
-  make_driver ~next_phases ~on_phase (fresh_state [])
+  make_driver ~next_phases (fresh_state [])
 
 let run ?recorder ?(wrap = Fun.id) net phase =
   let driver, duration = phase net (Network.now net + 1) in

@@ -11,21 +11,14 @@ type phase = Aqt_engine.Network.t -> int -> Aqt_engine.Sim.driver * int
 (** [phase net start] — [start] is the first step of the phase; the returned
     duration must be positive. *)
 
-val of_driver : Aqt_engine.Sim.driver -> int -> phase
-(** A fixed driver run for a fixed number of steps. *)
-
 val idle : int -> phase
 (** No injections for the given number of steps. *)
 
-val sequence : ?on_phase:(int -> int -> unit) -> phase list -> Aqt_engine.Sim.driver
-(** Runs the phases in order; after the last one, injects nothing.
-    [on_phase i start] is called when phase [i] (0-based) begins. *)
+val sequence : phase list -> Aqt_engine.Sim.driver
+(** Runs the phases in order; after the last one, injects nothing. *)
 
 val cycle :
-  ?on_cycle:(int -> int -> unit) ->
-  ?on_phase:(int -> int -> unit) ->
-  phase list ->
-  Aqt_engine.Sim.driver
+  ?on_cycle:(int -> int -> unit) -> phase list -> Aqt_engine.Sim.driver
 (** Like {!sequence} but restarts the phase list forever.  [on_cycle k start]
     fires when cycle [k] (0-based) begins. *)
 

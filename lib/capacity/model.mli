@@ -76,10 +76,19 @@ val dt_admits :
 (** The Dynamic-Threshold admission test.  [occupancy = total] makes the
     free space 0 and rejects everything, so fullness is subsumed. *)
 
-(** {1 Naming} *)
+(** {1 Syntax} *)
 
-val policy_name : policy -> string
-val policy_of_string : string -> policy option
-(** Accepts ["drop-tail"]/["tail"] and ["drop-head"]/["head"]. *)
+val to_string : t -> string
+(** The canonical form: [unbounded], [uniform:K], [per-edge:K1,...,Km] or
+    [shared:T], with [:drop-head] after a drop-head cap list, [:A/B] after
+    a shared total whose alpha is not [1/1], and [@S] when the speedup [S]
+    exceeds 1.  For example [uniform:2:drop-head@2] or [shared:256]. *)
 
-val describe : t -> string
+val of_string : string -> (t, string) result
+(** Inverse of {!to_string}.  Also accepts the defaults written out
+    ([:drop-tail], [:1/1], [@1]); surrounding blanks are ignored.  A
+    well-formed but invalid model returns {!make}'s message. *)
+
+val check_edges : t -> m:int -> (unit, string) result
+(** [Error] iff a [Per_edge] list's length differs from the edge count
+    [m]: the one input error {!of_string} cannot see without the graph. *)

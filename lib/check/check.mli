@@ -18,16 +18,6 @@ type summary = {
   failures : failure_report list;  (** Empty = the engine conforms. *)
 }
 
-val run_seed :
-  ?families:Gen.family list ->
-  ?mutant:Diff.mutant ->
-  ?soa_domains:int list ->
-  int ->
-  Diff.failure option
-(** Generate and differentially run one seed (no shrinking).
-    [families] restricts generation as in {!Gen.generate};
-    [soa_domains] adds struct-of-arrays arms as in {!Diff.run}. *)
-
 val run_seeds :
   ?families:Gen.family list ->
   ?mutant:Diff.mutant ->

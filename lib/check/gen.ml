@@ -9,6 +9,7 @@ module Stock = Aqt_adversary.Stock
 module Flow = Aqt_adversary.Flow
 module Capacity = Aqt_capacity.Model
 module Traffic = Aqt_workload.Traffic
+module Scenario = Aqt_fabric.Scenario
 
 type obligation =
   | Rate_ok of Ratio.t
@@ -257,7 +258,7 @@ let capacity_regime prng seed =
     seed;
     label =
       Printf.sprintf "capacity %s %s %s%s" topo policy.name
-        (Capacity.describe capacity)
+        (Capacity.to_string capacity)
         (if reroutes then " +reroutes" else "");
     graph;
     policy;
@@ -368,15 +369,14 @@ let feedback_routing prng seed =
    injected route is a valid simple path of the fabric, and the drop
    counters balance. *)
 let fabric prng seed =
-  let fab, topo =
+  let topo =
     if Prng.bool prng then begin
       let spines = 1 + Prng.int prng 2
       and leaves = 2 + Prng.int prng 2
       and hosts_per_leaf = 1 + Prng.int prng 2 in
-      ( Build.spine_leaf ~spines ~leaves ~hosts_per_leaf,
-        Printf.sprintf "spine-leaf(%d,%d,%d)" spines leaves hosts_per_leaf )
+      Scenario.Spine_leaf { spines; leaves; hosts_per_leaf }
     end
-    else (Build.fat_tree ~k:2, "fat-tree(2)")
+    else Scenario.Fat_tree { k = 2 }
   in
   let policy = pick_policy prng in
   let tie_order = pick_tie prng in
@@ -388,22 +388,8 @@ let fabric prng seed =
     | _ -> Traffic.Hotspot { hot_num = 1 + Prng.int prng 2; hot_den = 2 }
   in
   let horizon = 20 + Prng.int prng 41 in
-  let spec =
-    {
-      Traffic.pattern;
-      conns_per_pair = 1 + Prng.int prng 2;
-      utilisation = Ratio.make (1 + Prng.int prng 4) 4;
-      flow_cdf = Traffic.short_cdf;
-      horizon;
-      seed;
-    }
-  in
-  let compiled =
-    Traffic.compile
-      ~n_hosts:(Array.length fab.Build.hosts)
-      ~m:(Digraph.n_edges fab.Build.graph)
-      ~routes:fab.Build.routes spec
-  in
+  let utilisation = Ratio.make (1 + Prng.int prng 4) 4 in
+  let conns_per_pair = 1 + Prng.int prng 2 in
   let capacity =
     if Prng.bool prng then Capacity.unbounded
     else
@@ -411,6 +397,11 @@ let fabric prng seed =
         ~alpha_num:(1 + Prng.int prng 2)
         ~alpha_den:(1 + Prng.int prng 2)
         (4 + Prng.int prng 29)
+  in
+  let fab, compiled =
+    Scenario.compile
+      (Scenario.make ~conns_per_pair ~flow_cdf:Traffic.short_cdf ~policy
+         ~capacity ~seed ~topo ~pattern ~utilisation ~horizon ())
   in
   let schedule =
     Array.map
@@ -420,10 +411,11 @@ let fabric prng seed =
   {
     seed;
     label =
-      Printf.sprintf "fabric %s %s %s %s" topo
-        (Traffic.pattern_name pattern)
+      Printf.sprintf "fabric %s %s %s %s"
+        (Scenario.topo_to_string topo)
+        (Traffic.pattern_to_string pattern)
         policy.name
-        (Capacity.describe capacity);
+        (Capacity.to_string capacity);
     graph = fab.Build.graph;
     policy;
     tie_order;
@@ -522,7 +514,7 @@ let pp fmt s =
   Format.fprintf fmt "graph: %d nodes, %d edges; horizon %d@,"
     (Digraph.n_nodes s.graph) (Digraph.n_edges s.graph) (horizon s);
   if not (Capacity.is_trivial s.capacity) then
-    Format.fprintf fmt "capacity: %s@," (Capacity.describe s.capacity);
+    Format.fprintf fmt "capacity: %s@," (Capacity.to_string s.capacity);
   (match s.feedback with
   | None -> ()
   | Some fb ->

@@ -291,5 +291,3 @@ let injection_log t =
       t.log
   in
   Array.of_list (List.map (fun (time, _, p) -> (time, p.P.route)) all)
-
-let nonempty_edges t = t.active

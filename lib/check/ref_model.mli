@@ -87,7 +87,3 @@ val injection_log : t -> (int * int array) array
 (** [(injection time, final effective route)] of every adversary-injected
     packet, sorted by (time, id) like the engine's. *)
 
-val nonempty_edges : t -> int list
-(** Edges whose buffers are currently nonempty, in active-list order.
-    Captured before a step, this is the reference non-idling set: exactly
-    these edges must forward in the next substep 1. *)

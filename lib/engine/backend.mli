@@ -13,7 +13,6 @@ type t = Record of Network.t | Soa of Soa.t
 
 val create :
   ?log_injections:bool ->
-  ?validate_routes:bool ->
   ?tie_order:Network.tie_order ->
   ?capacity:Aqt_capacity.Model.t ->
   ?backend:[ `Record | `Soa of int ] ->

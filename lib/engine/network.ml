@@ -9,7 +9,6 @@ type t = {
   graph : Digraph.t;
   policy : Policy_type.t;
   buffers : Buffer_q.t array;
-  validate_routes : bool;
   tie_order : tie_order;
   tracer : (Trace.event -> unit) option;
   (* Hash-consed routes: packets injected with equal routes share one
@@ -63,7 +62,6 @@ type t = {
   mutable max_dwell : int;
   mutable latency_sum : int;
   mutable latency_max : int;
-  latency_histo : Aqt_util.Histo.t;
   (* (injected_at, packet id, initial?, final route) of absorbed packets, in
      absorption order; live packets are appended on demand by
      [injection_log]/[initial_final_routes], which sort by (time, id) so
@@ -72,15 +70,14 @@ type t = {
   last_use : int array; (* per edge: latest injection whose route used it *)
 }
 
-let create ?(log_injections = false) ?(validate_routes = true)
-    ?(tie_order = Transit_first) ?tracer ?route_table ?(recycle = false)
-    ?(capacity = Capacity.unbounded) ~graph ~policy () =
+let create ?(log_injections = false) ?(tie_order = Transit_first) ?tracer
+    ?route_table ?(recycle = false) ?(capacity = Capacity.unbounded) ~graph
+    ~policy () =
   let m = Digraph.n_edges graph in
   {
     graph;
     policy;
     buffers = Array.init m (fun _ -> Buffer_q.create policy);
-    validate_routes;
     tie_order;
     tracer;
     routes =
@@ -119,7 +116,6 @@ let create ?(log_injections = false) ?(validate_routes = true)
     max_dwell = 0;
     latency_sum = 0;
     latency_max = 0;
-    latency_histo = Aqt_util.Histo.create ();
     absorbed_log = (if log_injections then Some (Dyn.create ()) else None);
     last_use = Array.make m min_int;
   }
@@ -131,7 +127,7 @@ let route_table t = t.routes
 let pooled t = Dyn.length t.pool
 
 let check_route t route =
-  if t.validate_routes && not (Digraph.route_is_simple t.graph route) then
+  if not (Digraph.route_is_simple t.graph route) then
     invalid_arg
       (Format.asprintf "Network: route %a is not a simple path"
          (Digraph.pp_route t.graph) route)
@@ -288,7 +284,6 @@ let absorb t (p : Packet.t) =
   let latency = t.now - p.injected_at in
   t.latency_sum <- t.latency_sum + latency;
   if latency > t.latency_max then t.latency_max <- latency;
-  Aqt_util.Histo.record t.latency_histo latency;
   (match t.tracer with
   | None -> ()
   | Some f -> f (Trace.Absorbed { t = t.now; packet = p.id; latency }));
@@ -466,7 +461,6 @@ let max_pending_dwell t =
   !best
 
 let delivered_latency_max t = t.latency_max
-let delivered_latency_percentile t p = Aqt_util.Histo.percentile t.latency_histo p
 
 let delivered_latency_mean t =
   if t.absorbed = 0 then 0.0

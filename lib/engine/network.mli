@@ -31,7 +31,6 @@ type t
 
 val create :
   ?log_injections:bool ->
-  ?validate_routes:bool ->
   ?tie_order:tie_order ->
   ?tracer:(Trace.event -> unit) ->
   ?route_table:Route_intern.t ->
@@ -44,9 +43,8 @@ val create :
 (** [log_injections] (default false) retains [(time, final route)] for every
     adversary-injected packet, including absorbed ones — needed by the rate
     checker, costs memory proportional to the injection count.
-    [validate_routes] (default true) checks that every injected route is a
-    simple directed path; with interning the check runs once per {e
-    distinct} route, not once per injection.
+    Every injected route must be a simple directed path; with interning
+    the check runs once per {e distinct} route, not once per injection.
     [tracer] receives every packet event (see {!Trace}); omit it for zero
     tracing overhead — with no tracer the step loop builds no event values
     at all.
@@ -167,10 +165,6 @@ val max_pending_dwell : t -> int
 
 val delivered_latency_max : t -> int
 val delivered_latency_mean : t -> float
-
-val delivered_latency_percentile : t -> float -> int
-(** Upper-bound estimate of a delivery-latency quantile (power-of-two
-    histogram buckets; exact at the maximum). *)
 
 val injection_log : t -> (int * int array) array
 (** [(injection time, final effective route)] for every adversary-injected

@@ -13,9 +13,6 @@ type t = {
   mutable reroutes : int;
 }
 
-let next_edge p =
-  if p.hop >= Array.length p.route then None else Some p.route.(p.hop)
-
 let current_edge p =
   if p.hop >= Array.length p.route then
     invalid_arg "Packet.current_edge: packet is absorbed"

@@ -37,11 +37,9 @@ type t = {
   mutable reroutes : int;  (** Number of times the route suffix was rewritten. *)
 }
 
-val next_edge : t -> int option
-(** The edge the packet is waiting for, or [None] if absorbed. *)
-
 val current_edge : t -> int
-(** Like [next_edge] but raises.  @raise Invalid_argument if absorbed. *)
+(** The edge the packet is waiting for.
+    @raise Invalid_argument if absorbed. *)
 
 val remaining : t -> int
 (** Edges still to traverse, including the next one; 0 once absorbed. *)

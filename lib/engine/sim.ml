@@ -24,7 +24,7 @@ let feed_queues driver net t =
       let m = Aqt_graph.Digraph.n_edges (Network.graph net) in
       f (Array.init m (Network.buffer_len net)) t
 
-type stop = Horizon | Drained | Blowup of int | Stopped of string
+type stop = Horizon | Blowup of int | Stopped of string
 
 type outcome = {
   stop : stop;
@@ -35,8 +35,7 @@ type outcome = {
   dropped : int;
 }
 
-let run ?recorder ?blowup ?stop_when ?(drain_stop = false) ~net ~driver
-    ~horizon () =
+let run ?recorder ?blowup ?stop_when ~net ~driver ~horizon () =
   if horizon < 0 then invalid_arg "Sim.run: negative horizon";
   let start = Network.now net in
   let observe () =
@@ -48,8 +47,7 @@ let run ?recorder ?blowup ?stop_when ?(drain_stop = false) ~net ~driver
       let t = Network.now net + 1 in
       feed_queues driver net t;
       driver.before_step net t;
-      let injections = driver.injections_at net t in
-      Network.step net injections;
+      Network.step net (driver.injections_at net t);
       observe ();
       let blown =
         match blowup with
@@ -63,16 +61,7 @@ let run ?recorder ?blowup ?stop_when ?(drain_stop = false) ~net ~driver
           match stop_when with
           | Some f when Option.is_some (f net) ->
               Stopped (Option.get (f net))
-          | _ ->
-              (* Constructor match, not [injections = []]: polymorphic
-                 equality on a list of records is a per-step call into the
-                 generic compare runtime. *)
-              let no_injections =
-                match injections with [] -> true | _ :: _ -> false
-              in
-              if drain_stop && Network.in_flight net = 0 && no_injections
-              then Drained
-              else go (steps_done + 1))
+          | _ -> go (steps_done + 1))
     end
   in
   let stop = go 0 in
@@ -106,9 +95,3 @@ let run_steps ?recorder ~net ~driver n =
         Network.step net (driver.injections_at net t);
         Recorder.observe r net
       done
-
-let pp_stop fmt = function
-  | Horizon -> Format.pp_print_string fmt "horizon"
-  | Drained -> Format.pp_print_string fmt "drained"
-  | Blowup q -> Format.fprintf fmt "blowup(%d)" q
-  | Stopped s -> Format.fprintf fmt "stopped(%s)" s

@@ -23,7 +23,6 @@ val injections_only : (Network.t -> int -> Network.injection list) -> driver
 
 type stop =
   | Horizon  (** Ran the full requested number of steps. *)
-  | Drained  (** Network empty and the step injected nothing. *)
   | Blowup of int  (** A buffer exceeded the blowup threshold. *)
   | Stopped of string  (** Custom predicate fired. *)
 
@@ -40,21 +39,17 @@ val run :
   ?recorder:Recorder.t ->
   ?blowup:int ->
   ?stop_when:(Network.t -> string option) ->
-  ?drain_stop:bool ->
   net:Network.t ->
   driver:driver ->
   horizon:int ->
   unit ->
   outcome
 (** Runs up to [horizon] further steps.  [blowup] stops the run as unstable
-    when any buffer ever exceeds that many packets.  [drain_stop] (default
-    false) stops once the network is empty after a step with no injections.
-    [stop_when] is evaluated after each step. *)
+    when any buffer ever exceeds that many packets.  [stop_when] is
+    evaluated after each step. *)
 
 val run_steps : ?recorder:Recorder.t -> net:Network.t -> driver:driver -> int -> unit
 (** [run_steps ~net ~driver n] executes exactly [n] steps with none of
     [run]'s per-step machinery (no blowup cap, stop predicate or outcome
     value) — the batched fast path for steady-state workloads.  Query the
     network afterwards for whatever statistics you need. *)
-
-val pp_stop : Format.formatter -> stop -> unit

@@ -48,7 +48,7 @@
       are recorded as (position, edge) pairs per domain and merged by
       position at the barrier — the exact activation order of the
       sequential engine.  Stats are accumulated per domain and folded at
-      the barrier (sums, maxima, histogram buckets — all order-free).
+      the barrier (sums and maxima — all order-free).
 
    Injections always run on the main domain at a barrier, and a shared
    (Dynamic-Threshold) capacity model forces the delivery phase sequential,
@@ -247,7 +247,6 @@ type t = {
   lifo : bool; (* Reverse_arrival: serve the back of the deque *)
   fast : bool; (* FIFO + unbounded: fused pop/enqueue fast paths apply *)
   tie_order : Network.tie_order;
-  validate_routes : bool;
   m : int;
   (* Compiled capacity model, as in [Network]. *)
   capacity : Capacity.t;
@@ -315,7 +314,6 @@ type t = {
   mutable max_dwell : int;
   mutable latency_sum : int;
   mutable latency_max : int;
-  latency_histo : Aqt_util.Histo.t;
   last_use : int array;
   (* (injected_at, id, initial?, r_off, r_len) of closed packets.  Offsets
      are stable snapshots: the route arena is append-only. *)
@@ -334,7 +332,6 @@ type t = {
   d_max_queue : int array;
   d_lat_sum : int array;
   d_lat_max : int array;
-  d_histo : Aqt_util.Histo.t array;
   d_free : int Dyn.t array;
   d_log : (int * int * bool * int * int) Dyn.t array;
   (* (position, edge) streams, position-sorted by construction. *)
@@ -359,9 +356,9 @@ type t = {
   mutable sink : int;
 }
 
-let create ?(log_injections = false) ?(validate_routes = true)
-    ?(tie_order = Network.Transit_first) ?(capacity = Capacity.unbounded)
-    ?(domains = 1) ~graph ~(policy : Policy_type.t) () =
+let create ?(log_injections = false) ?(tie_order = Network.Transit_first)
+    ?(capacity = Capacity.unbounded) ?(domains = 1) ~graph
+    ~(policy : Policy_type.t) () =
   if domains < 1 then invalid_arg "Soa.create: domains must be >= 1";
   let m = Digraph.n_edges graph in
   let ndom = max 1 (min domains (max 1 m)) in
@@ -387,7 +384,6 @@ let create ?(log_injections = false) ?(validate_routes = true)
       policy.discipline = Policy_type.Arrival_order
       && Capacity.is_unbounded capacity;
     tie_order;
-    validate_routes;
     m;
     capacity;
     bounded = not (Capacity.is_unbounded capacity);
@@ -435,7 +431,6 @@ let create ?(log_injections = false) ?(validate_routes = true)
     max_dwell = 0;
     latency_sum = 0;
     latency_max = 0;
-    latency_histo = Aqt_util.Histo.create ();
     last_use = Array.make m min_int;
     log = (if log_injections then Some (Dyn.create ()) else None);
     ndom;
@@ -450,7 +445,6 @@ let create ?(log_injections = false) ?(validate_routes = true)
     d_max_queue = Array.make ndom 0;
     d_lat_sum = Array.make ndom 0;
     d_lat_max = Array.make ndom 0;
-    d_histo = Array.init ndom (fun _ -> Aqt_util.Histo.create ());
     d_free = Array.init ndom (fun _ -> Dyn.create ());
     d_log = Array.init ndom (fun _ -> Dyn.create ());
     d_still_pos = Array.init ndom (fun _ -> Dyn.create ());
@@ -519,7 +513,7 @@ let append_route t (route : int array) =
   off
 
 let check_route t route =
-  if t.validate_routes && not (Digraph.route_is_simple t.graph route) then
+  if not (Digraph.route_is_simple t.graph route) then
     invalid_arg
       (Format.asprintf "Soa: route %a is not a simple path"
          (Digraph.pp_route t.graph) route)
@@ -886,7 +880,6 @@ let absorb_seq t src spos =
   let latency = t.now - Array.unsafe_get t.inj_at s in
   t.latency_sum <- t.latency_sum + latency;
   if latency > t.latency_max then t.latency_max <- latency;
-  Aqt_util.Histo.record t.latency_histo latency;
   log_closed t 0 s
     (Array.unsafe_get src (spos + o_off))
     (Array.unsafe_get src (spos + o_len));
@@ -1219,7 +1212,6 @@ let deliver_par t n_old d =
   let lo = d * t.block and hi = (d + 1) * t.block in
   let last = t.ndom - 1 in
   let act_pos = t.d_act_pos.(d) and act_edge = t.d_act_edge.(d) in
-  let histo = t.d_histo.(d) in
   for i = 0 to n_old - 1 do
     let k = Array.unsafe_get t.pend_cnt i in
     for j = 0 to k - 1 do
@@ -1237,7 +1229,6 @@ let deliver_par t n_old d =
           let latency = t.now - Array.unsafe_get t.inj_at s in
           t.d_lat_sum.(d) <- t.d_lat_sum.(d) + latency;
           if latency > t.d_lat_max.(d) then t.d_lat_max.(d) <- latency;
-          Aqt_util.Histo.record histo latency;
           log_closed t d s
             (Array.unsafe_get t.pending (w + o_off))
             (Array.unsafe_get t.pending (w + o_len));
@@ -1302,8 +1293,6 @@ let fold_deliver_stats t =
     t.latency_sum <- t.latency_sum + t.d_lat_sum.(d);
     if t.d_lat_max.(d) > t.latency_max then t.latency_max <- t.d_lat_max.(d);
     if t.d_max_queue.(d) > t.max_queue then t.max_queue <- t.d_max_queue.(d);
-    Aqt_util.Histo.merge_into ~into:t.latency_histo t.d_histo.(d);
-    Aqt_util.Histo.reset t.d_histo.(d);
     t.d_absorbed.(d) <- 0;
     t.d_dropped.(d) <- 0;
     t.d_displaced.(d) <- 0;
@@ -1446,9 +1435,6 @@ let delivered_latency_max t = t.latency_max
 let delivered_latency_mean t =
   if t.absorbed = 0 then 0.0
   else float_of_int t.latency_sum /. float_of_int t.absorbed
-
-let delivered_latency_percentile t p =
-  Aqt_util.Histo.percentile t.latency_histo p
 
 let reroute_count t = t.reroutes
 let last_injection_on t e = t.last_use.(e)

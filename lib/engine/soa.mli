@@ -26,7 +26,6 @@ type t
 
 val create :
   ?log_injections:bool ->
-  ?validate_routes:bool ->
   ?tie_order:Network.tie_order ->
   ?capacity:Aqt_capacity.Model.t ->
   ?domains:int ->
@@ -111,7 +110,6 @@ val max_dwell : t -> int
 val max_pending_dwell : t -> int
 val delivered_latency_max : t -> int
 val delivered_latency_mean : t -> float
-val delivered_latency_percentile : t -> float -> int
 val reroute_count : t -> int
 val last_injection_on : t -> int -> int
 val capacity : t -> Aqt_capacity.Model.t

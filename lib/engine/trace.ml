@@ -23,11 +23,6 @@ let pp_event fmt = function
       Format.fprintf fmt "t=%d drop #%d at edge %d (%s)" t packet edge
         (if displaced then "displaced" else "overflow")
 
-let time_of = function
-  | Injected { t; _ } | Forwarded { t; _ } | Absorbed { t; _ }
-  | Rerouted { t; _ } | Dropped { t; _ } ->
-      t
-
 let packet_of = function
   | Injected { packet; _ }
   | Forwarded { packet; _ }

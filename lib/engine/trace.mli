@@ -23,9 +23,6 @@ type event =
 
 val pp_event : Format.formatter -> event -> unit
 
-val time_of : event -> int
-val packet_of : event -> int
-
 (** {1 Collector} *)
 
 type t

@@ -11,15 +11,39 @@ type topo =
   | Spine_leaf of { spines : int; leaves : int; hosts_per_leaf : int }
   | Fat_tree of { k : int }
 
-let topo_name = function
+let topo_to_string = function
   | Spine_leaf { spines; leaves; hosts_per_leaf } ->
-      Printf.sprintf "spine-leaf(%d,%d,%d)" spines leaves hosts_per_leaf
-  | Fat_tree { k } -> Printf.sprintf "fat-tree(%d)" k
+      Printf.sprintf "spine-leaf:%d,%d,%d" spines leaves hosts_per_leaf
+  | Fat_tree { k } -> Printf.sprintf "fat-tree:%d" k
 
 let build_topo = function
   | Spine_leaf { spines; leaves; hosts_per_leaf } ->
       Build.spine_leaf ~spines ~leaves ~hosts_per_leaf
   | Fat_tree { k } -> Build.fat_tree ~k
+
+(* The generator is the one judge of a valid topology, so a parse that
+   succeeds syntactically is built once to surface its range checks. *)
+let topo_of_string s =
+  let ints v = List.map int_of_string_opt (String.split_on_char ',' v) in
+  let topo =
+    match String.split_on_char ':' (String.trim s) with
+    | [ "spine-leaf"; dims ] -> (
+        match ints dims with
+        | [ Some spines; Some leaves; Some hosts_per_leaf ] ->
+            Some (Spine_leaf { spines; leaves; hosts_per_leaf })
+        | _ -> None)
+    | [ "fat-tree"; k ] ->
+        Option.map (fun k -> Fat_tree { k }) (int_of_string_opt k)
+    | _ -> None
+  in
+  match topo with
+  | None ->
+      Error
+        (Printf.sprintf "unknown topology %S (fat-tree:K | spine-leaf:S,L,H)" s)
+  | Some t -> (
+      match build_topo t with
+      | _ -> Ok t
+      | exception Invalid_argument msg -> Error msg)
 
 type t = {
   name : string;
@@ -38,7 +62,7 @@ type t = {
 let make ?(name = "") ?(conns_per_pair = 1) ?(flow_cdf = Traffic.default_cdf)
     ?(policy = Policies.fifo) ?(capacity = Capacity.unbounded) ?(drain = 200)
     ?(seed = 1) ~topo ~pattern ~utilisation ~horizon () =
-  let name = if name <> "" then name else topo_name topo in
+  let name = if name <> "" then name else topo_to_string topo in
   {
     name;
     topo;

@@ -14,7 +14,14 @@ type topo =
   | Spine_leaf of { spines : int; leaves : int; hosts_per_leaf : int }
   | Fat_tree of { k : int }
 
-val topo_name : topo -> string
+val topo_to_string : topo -> string
+(** The canonical form: [fat-tree:K] or [spine-leaf:S,L,H]. *)
+
+val topo_of_string : string -> (topo, string) result
+(** Inverse of {!topo_to_string}; surrounding blanks are ignored.  A
+    topology the generator rejects (odd or tiny fat-tree arity, an empty
+    spine-leaf tier) is an [Error] carrying the generator's message. *)
+
 val build_topo : topo -> Aqt_graph.Build.fabric
 
 type t = {

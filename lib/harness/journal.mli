@@ -97,9 +97,3 @@ val files : dir:string -> string list
 val latest : dir:string -> string option
 (** The newest journal file under [dir/journal], if any. *)
 
-val final_trajectories : event list -> (string * (string * float) list list) list
-(** The last non-empty trajectory each task reported, in order of each
-    task's first appearance.  Cache hits replay the cached trajectory, so
-    this is defined for cached as well as freshly-run tasks — the report
-    generator uses it to plot per-experiment time series without
-    re-running anything. *)

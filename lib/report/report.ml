@@ -11,7 +11,6 @@ module G = Aqt.Gadget
 
 type ctx = {
   results : (string * Registry.result) list;
-  trajectories : (string * (string * float) list list) list;
   bench : (string * float) list;
 }
 
@@ -86,7 +85,66 @@ let trajectory_points rows ~x ~y =
        (List.to_seq rows))
 
 let trajectory ctx experiment =
-  Option.value (List.assoc_opt experiment ctx.trajectories) ~default:[]
+  match List.assoc_opt experiment ctx.results with
+  | Some r -> r.Registry.trajectory
+  | None -> []
+
+(* One plot series per distinct [key] cell, in first-seen order, each
+   holding its rows' [(x, y)] points in table order. *)
+let series_by t ~key ~x ~y ~prefix =
+  let keys = column_s t key and xs = column t x and ys = column t y in
+  let groups = ref [] in
+  Array.iteri
+    (fun i k ->
+      let pt = (xs.(i), ys.(i)) in
+      match List.assoc_opt k !groups with
+      | Some pts -> pts := pt :: !pts
+      | None -> groups := (k, ref [ pt ]) :: !groups)
+    keys;
+  List.rev_map
+    (fun (k, pts) -> Plot.series (prefix ^ k) (Array.of_list (List.rev !pts)))
+    !groups
+
+(* The [rows] x [cols] grid of a table: row [i] puts [cell.(i)] at
+   ([r.(i)], [c.(i)]) when [keep i]; cells no row fills stay nan. *)
+let grid ~rows ~cols ~keep r c cell =
+  let idx l v =
+    let rec go i = function
+      | [] -> 0
+      | x :: tl -> if x = v then i else go (i + 1) tl
+    in
+    go 0 l
+  in
+  let values =
+    Array.make_matrix (List.length rows) (List.length cols) Float.nan
+  in
+  Array.iteri
+    (fun i rv ->
+      if keep i then values.(idx rows rv).(idx cols c.(i)) <- cell.(i))
+    r;
+  values
+
+(* The grid over the rows whose [where] column holds [value], with both
+   axes in first-seen order. *)
+let grid_where t ~where:(col, value) ~row_col ~col_col ~cell_col =
+  let w = column_s t col in
+  let keep i = w.(i) = value in
+  let first_seen a =
+    let l = ref [] in
+    Array.iteri
+      (fun i v -> if keep i && not (List.mem v !l) then l := !l @ [ v ])
+      a;
+    !l
+  in
+  let r = column_s t row_col and c = column_s t col_col in
+  let rows = first_seen r and cols = first_seen c in
+  (rows, cols, grid ~rows ~cols ~keep r c (column t cell_col))
+
+let annot f =
+  Array.map
+    (Array.map (fun v -> if Float.is_nan v then None else Some (f v)))
+
+let annot_pct fmt = annot (fun v -> if v = 0.0 then "0" else fmt (100. *. v))
 
 (* ------------------------------------------------------------------ *)
 (* Figure renders                                                      *)
@@ -127,24 +185,8 @@ let render_e1_growth ctx =
   match find_table ctx ~experiment:"e1" ~id:"e1_thm_3_17" with
   | None -> Plot.render ~title []
   | Some t ->
-      let eps = column_s t "eps" in
-      let cycle = column t "cycle" and seed = column t "seed" in
-      let groups = ref [] in
-      Array.iteri
-        (fun i e ->
-          let pt = (cycle.(i), seed.(i)) in
-          match List.assoc_opt e !groups with
-          | Some pts -> pts := pt :: !pts
-          | None -> groups := (e, ref [ pt ]) :: !groups)
-        eps;
-      let series =
-        List.rev_map
-          (fun (e, pts) ->
-            Plot.series ("eps=" ^ e) (Array.of_list (List.rev !pts)))
-          !groups
-      in
       Plot.render ~x_label:"cycle" ~y_label:"seed queue (packets)" ~title
-        series
+        (series_by t ~key:"eps" ~x:"cycle" ~y:"seed" ~prefix:"eps=")
 
 let render_e2_pump ctx =
   let title = "Lemma 3.6 - pump growth, measured vs predicted" in
@@ -250,33 +292,16 @@ let render_capacity_heatmap ctx =
   match find_table ctx ~experiment:"c1" ~id:"c1_drop_grid" with
   | None -> Heatmap.render ~title ~rows:[] ~cols:[] [||]
   | Some t ->
-      let s = column t "s" in
-      let cap = column t "cap" in
-      let dr = column t "drop_rate" in
+      let s = column t "s" and cap = column t "cap" in
       let uniq a = List.sort_uniq compare (Array.to_list a) in
       let ss = uniq s and caps = uniq cap in
-      let idx l v =
-        let rec go i = function
-          | [] -> 0
-          | x :: tl -> if x = v then i else go (i + 1) tl
-        in
-        go 0 l
-      in
       let values =
-        Array.make_matrix (List.length ss) (List.length caps) Float.nan
+        grid ~rows:ss ~cols:caps ~keep:(fun _ -> true) s cap
+          (column t "drop_rate")
       in
-      Array.iteri
-        (fun i sv -> values.(idx ss sv).(idx caps cap.(i)) <- dr.(i))
-        s;
-      let annot =
-        Array.map
-          (Array.map (fun v ->
-               if Float.is_nan v then None
-               else if v = 0.0 then Some "0"
-               else Some (Printf.sprintf "%.0f%%" (100. *. v))))
-          values
-      in
-      Heatmap.render ~annot ~x_label:"buffer capacity per edge"
+      Heatmap.render
+        ~annot:(annot_pct (Printf.sprintf "%.0f%%") values)
+        ~x_label:"buffer capacity per edge"
         ~y_label:"link speedup" ~title
         ~rows:(List.map (fun v -> Printf.sprintf "s=%.0f" v) ss)
         ~cols:(List.map (fun v -> Printf.sprintf "%.0f" v) caps)
@@ -287,64 +312,15 @@ let render_capacity_tradeoff ctx =
   match find_table ctx ~experiment:"c2" ~id:"c2_policies" with
   | None -> Plot.render ~title []
   | Some t ->
-      let disc = column_s t "discipline" in
-      let cap = column t "cap" in
-      let dr = column t "drop_rate" in
-      let groups = ref [] in
-      Array.iteri
-        (fun i d ->
-          let pt = (cap.(i), dr.(i)) in
-          match List.assoc_opt d !groups with
-          | Some pts -> pts := pt :: !pts
-          | None -> groups := (d, ref [ pt ]) :: !groups)
-        disc;
-      let series =
-        List.rev_map
-          (fun (d, pts) -> Plot.series d (Array.of_list (List.rev !pts)))
-          !groups
-      in
       Plot.render ~x_label:"buffer budget (cap per edge; 8*cap shared)"
-        ~y_label:"drop rate" ~title series
+        ~y_label:"drop rate" ~title
+        (series_by t ~key:"discipline" ~x:"cap" ~y:"drop_rate" ~prefix:"")
 
 (* The adversary-family figures read the n1/n2 campaign tables
    (ring rows only; the gadget rows stay in the tables).  Sweep order
    is preserved from the experiment, so rho decreases down the rows
    and the knob grows along the columns. *)
-let grid_of t ~graph ~row_col ~col_col ~cell_col =
-  let g = column_s t "graph" in
-  let rv = column_s t row_col in
-  let cv = column_s t col_col in
-  let cell = column t cell_col in
-  let push l v = if not (List.mem v !l) then l := !l @ [ v ] in
-  let rows = ref [] and cols = ref [] in
-  Array.iteri
-    (fun i gi ->
-      if gi = graph then begin
-        push rows rv.(i);
-        push cols cv.(i)
-      end)
-    g;
-  let idx l v =
-    let rec go i = function
-      | [] -> 0
-      | x :: tl -> if x = v then i else go (i + 1) tl
-    in
-    go 0 l
-  in
-  let values =
-    Array.make_matrix (List.length !rows) (List.length !cols) Float.nan
-  in
-  Array.iteri
-    (fun i gi ->
-      if gi = graph then
-        values.(idx !rows rv.(i)).(idx !cols cv.(i)) <- cell.(i))
-    g;
-  (!rows, !cols, values)
-
-let annot_count =
-  Array.map
-    (Array.map (fun v ->
-         if Float.is_nan v then None else Some (Printf.sprintf "%.0f" v)))
+let annot_count = annot (Printf.sprintf "%.0f")
 
 let render_local_burst_heatmap ctx =
   let title = "N1 - locally bursty: peak queue over (rho, sigma_e)" in
@@ -352,7 +328,7 @@ let render_local_burst_heatmap ctx =
   | None -> Heatmap.render ~title ~rows:[] ~cols:[] [||]
   | Some t ->
       let rows, cols, values =
-        grid_of t ~graph:"ring" ~row_col:"rho" ~col_col:"burst"
+        grid_where t ~where:("graph", "ring") ~row_col:"rho" ~col_col:"burst"
           ~cell_col:"max_queue"
       in
       Heatmap.render ~log_scale:true ~annot:(annot_count values)
@@ -367,7 +343,7 @@ let render_feedback_heatmap ctx =
   | None -> Heatmap.render ~title ~rows:[] ~cols:[] [||]
   | Some t ->
       let rows, cols, values =
-        grid_of t ~graph:"ring" ~row_col:"rate" ~col_col:"hot"
+        grid_where t ~where:("graph", "ring") ~row_col:"rate" ~col_col:"hot"
           ~cell_col:"reroutes"
       in
       Heatmap.render ~annot:(annot_count values)
@@ -385,70 +361,25 @@ let render_fabric_incast ctx =
   match find_table ctx ~experiment:"fab1" ~id:"fab1_incast" with
   | None -> Plot.render ~title []
   | Some t ->
-      let policy = column_s t "policy" in
-      let util = column t "util" in
-      let dwell = column t "max_dwell" in
-      let groups = ref [] in
-      Array.iteri
-        (fun i p ->
-          let pt = (util.(i), dwell.(i)) in
-          match List.assoc_opt p !groups with
-          | Some pts -> pts := pt :: !pts
-          | None -> groups := (p, ref [ pt ]) :: !groups)
-        policy;
-      let series =
-        List.rev_map
-          (fun (p, pts) -> Plot.series p (Array.of_list (List.rev !pts)))
-          !groups
-      in
       Plot.render ~x_label:"receiver-downlink utilisation"
-        ~y_label:"max dwell (steps in flight)" ~title series
+        ~y_label:"max dwell (steps in flight)" ~title
+        (series_by t ~key:"policy" ~x:"util" ~y:"max_dwell" ~prefix:"")
 
 let render_fabric_dt ctx =
   let title = "FAB2 - shared-DT drop rate over (alpha, total slots)" in
   match find_table ctx ~experiment:"fab2" ~id:"fab2_dt_grid" with
   | None -> Heatmap.render ~title ~rows:[] ~cols:[] [||]
   | Some t ->
-      let buffers = column_s t "buffers" in
-      let alpha = column_s t "alpha" in
-      let total = column_s t "total" in
-      let dr = column t "drop_rate" in
-      let push l v = if not (List.mem v !l) then l := !l @ [ v ] in
-      let rows = ref [] and cols = ref [] in
-      Array.iteri
-        (fun i b ->
-          if b = "shared-dt" then begin
-            push rows alpha.(i);
-            push cols total.(i)
-          end)
-        buffers;
-      let idx l v =
-        let rec go i = function
-          | [] -> 0
-          | x :: tl -> if x = v then i else go (i + 1) tl
-        in
-        go 0 l
+      let rows, cols, values =
+        grid_where t ~where:("buffers", "shared-dt") ~row_col:"alpha"
+          ~col_col:"total" ~cell_col:"drop_rate"
       in
-      let values =
-        Array.make_matrix (List.length !rows) (List.length !cols) Float.nan
-      in
-      Array.iteri
-        (fun i b ->
-          if b = "shared-dt" then
-            values.(idx !rows alpha.(i)).(idx !cols total.(i)) <- dr.(i))
-        buffers;
-      let annot =
-        Array.map
-          (Array.map (fun v ->
-               if Float.is_nan v then None
-               else if v = 0.0 then Some "0"
-               else Some (Printf.sprintf "%.1f%%" (100. *. v))))
-          values
-      in
-      Heatmap.render ~annot ~x_label:"shared pool size (slots)"
+      Heatmap.render
+        ~annot:(annot_pct (Printf.sprintf "%.1f%%") values)
+        ~x_label:"shared pool size (slots)"
         ~y_label:"DT alpha" ~title
-        ~rows:(List.map (fun a -> "alpha=" ^ a) !rows)
-        ~cols:!cols values
+        ~rows:(List.map (fun a -> "alpha=" ^ a) rows)
+        ~cols values
 
 (* The loadgen figure reads the committed journal, not the campaign
    cache: `aqt_sim loadgen --snapshot-every` appends one Snapshot per
@@ -823,63 +754,64 @@ let index_md ~registry figures =
     figures;
   Buffer.contents buf
 
+(* Benchmark names in b_microbench.csv contain no commas or quotes, so a
+   plain split is a faithful parser for this format. *)
+let read_bench_csv path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let split line = String.split_on_char ',' line in
+      let headers =
+        match input_line ic with
+        | h -> split h
+        | exception End_of_file ->
+            failwith (Printf.sprintf "%s: empty CSV" path)
+      in
+      let ns_col =
+        let rec idx i = function
+          | [] ->
+              failwith
+                (Printf.sprintf "%s: no \"ns/run\" column in %s" path
+                   (String.concat "," headers))
+          | "ns/run" :: _ -> i
+          | _ :: rest -> idx (i + 1) rest
+        in
+        idx 0 headers
+      in
+      let rec rows acc =
+        match input_line ic with
+        | exception End_of_file -> List.rev acc
+        | line -> (
+            let cells = split line in
+            match List.nth_opt cells ns_col with
+            | Some v -> (
+                match float_of_string_opt (String.trim v) with
+                | Some ns -> rows ((List.hd cells, ns) :: acc)
+                | None -> rows acc)
+            | None -> rows acc)
+      in
+      rows [])
+
 let build_ctx ?(bench_csv = Filename.concat "bench_results" "b_microbench.csv")
     ~registry ~options figures =
   let needed = dedup (List.concat_map (fun f -> f.experiments) figures) in
-  let results, trajectories =
-    if needed = [] then ([], [])
-    else begin
+  let results =
+    if needed = [] then []
+    else
       let summary =
         Campaign.run ~registry
           { options with Campaign.only = needed; quiet = true }
       in
-      let results =
-        List.filter_map
-          (fun (tr : Scheduler.task_result) ->
-            Option.map (fun r -> (tr.Scheduler.name, r)) tr.Scheduler.result)
-          summary.Campaign.results
-      in
-      let from_journal =
-        match
-          try Some (Journal.load summary.Campaign.journal_file)
-          with _ -> None
-        with
-        | Some events -> Journal.final_trajectories events
-        | None -> []
-      in
-      let trajectories =
-        List.map
-          (fun (name, (r : Registry.result)) ->
-            match List.assoc_opt name from_journal with
-            | Some t -> (name, t)
-            | None -> (name, r.Registry.trajectory))
-          results
-      in
-      (results, trajectories)
-    end
+      List.filter_map
+        (fun (tr : Scheduler.task_result) ->
+          Option.map (fun r -> (tr.Scheduler.name, r)) tr.Scheduler.result)
+        summary.Campaign.results
   in
   let bench =
-    if not (Sys.file_exists bench_csv) then []
-    else begin
-      let ic = open_in bench_csv in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | line -> (
-                match String.split_on_char ',' line with
-                | name :: value :: _ when name <> "benchmark" -> (
-                    match float_of_string_opt (String.trim value) with
-                    | Some v -> go ((name, v) :: acc)
-                    | None -> go acc)
-                | _ -> go acc)
-            | exception End_of_file -> List.rev acc
-          in
-          go [])
-    end
+    if Sys.file_exists bench_csv then read_bench_csv bench_csv else []
   in
-  { results; trajectories; bench }
+  { results; bench }
 
 let generate ?figures ?only ?bench_csv ~registry ~options ~out () =
   let figures =

@@ -7,8 +7,8 @@
     - the campaign layer: the experiments a figure declares are run
       through {!Aqt_harness.Campaign.run} (cache hits resolve instantly,
       so a warm [_campaign/] directory makes regeneration cheap), and
-      their {!Aqt_harness.Registry.result} tables and journalled
-      trajectories become plot inputs;
+      their {!Aqt_harness.Registry.result} tables and trajectories become
+      plot inputs;
     - direct simulation: structural figures (the Figure 3.1/3.2 gadget
       renders, the spacetime heatmap, the stability sweep) run small
       seeded simulations inline;
@@ -23,11 +23,9 @@
 type ctx = {
   results : (string * Aqt_harness.Registry.result) list;
       (** Experiment name -> campaign result, for every experiment some
-          requested figure declared. *)
-  trajectories : (string * (string * float) list list) list;
-      (** Experiment name -> the trajectory recovered from the campaign
-          journal ({!Aqt_harness.Journal.final_trajectories}), falling
-          back to the result's own trajectory field. *)
+          requested figure declared.  A cached result carries the same
+          trajectory as a fresh run: floats round-trip exactly through
+          the cache's [%.17g] JSON. *)
   bench : (string * float) list;
       (** Parsed [benchmark -> ns/run] rows of the committed
           microbenchmark CSV; [[]] when the file is absent. *)
@@ -63,8 +61,8 @@ val column : Aqt_harness.Registry.table -> string -> float array
     [true]/[false] all convert; anything else becomes [nan] (and is
     dropped by the plot layer).  @raise Not_found on an unknown header. *)
 
-val column_s : Aqt_harness.Registry.table -> string -> string array
-(** The named column as raw strings.  @raise Not_found likewise. *)
+val trajectory : ctx -> string -> (string * float) list list
+(** The named experiment's result trajectory; [[]] when absent. *)
 
 val trajectory_points :
   (string * float) list list -> x:string -> y:string -> (float * float) array
@@ -80,10 +78,17 @@ val build_ctx :
   ctx
 (** Assemble the data context for a set of figures without rendering
     anything: run the union of their declared experiments through the
-    campaign (cache hits instant), recover journalled trajectories, and
-    parse the bench CSV.  [generate] is [build_ctx] plus rendering to
+    campaign (cache hits instant) and parse the bench CSV with
+    {!read_bench_csv}.  [generate] is [build_ctx] plus rendering to
     disk; the serve daemon uses [build_ctx] directly to render single
     figures in memory. *)
+
+val read_bench_csv : string -> (string * float) list
+(** The [(benchmark, ns/run)] rows of a microbenchmark CSV, in file order:
+    the first cell of each row and the cell under the ["ns/run"] header.
+    Rows whose cell is not a number are skipped.
+    @raise Failure on an empty file or one without an ["ns/run"] column.
+    @raise Sys_error if the file cannot be opened. *)
 
 val generate :
   ?figures:figure list ->

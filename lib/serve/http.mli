@@ -132,9 +132,6 @@ val encode_request :
 
 (** {2 Response encoding} *)
 
-val status_text : int -> string
-(** Reason phrase for the status codes the server emits. *)
-
 val encode_response :
   ?headers:(string * string) list ->
   ?head_only:bool ->

@@ -550,24 +550,24 @@ let simulate_handler t rng q =
     | "0" | "false" | "no" -> false
     | v -> bad "parameter stochastic: expected a boolean, got %S" v
   in
-  let speedup = q_int q "speedup" 1 in
-  if speedup < 1 then bad "speedup must be >= 1";
-  let drop =
-    let v = q_str q "drop" "drop-tail" in
-    match Capacity.policy_of_string v with
-    | Some p -> p
-    | None -> bad "parameter drop: expected drop-tail or drop-head, got %S" v
-  in
   let capacity =
-    match List.assoc_opt "cap" q with
-    | None | Some "" | Some "inf" ->
-        if speedup = 1 then Capacity.unbounded
-        else Capacity.make ~speedup Capacity.Unbounded
+    match List.assoc_opt "capacity" q with
+    | None -> Capacity.unbounded
     | Some v -> (
-        match int_of_string_opt v with
-        | Some c when c >= 0 -> Capacity.uniform ~policy:drop ~speedup c
-        | _ -> bad "parameter cap: expected a non-negative integer, got %S" v)
+        match Capacity.of_string v with
+        | Ok c -> c
+        | Error e -> bad "parameter capacity: %s" e)
   in
+  (match capacity.Capacity.buffers with
+  | Capacity.Per_edge _ -> (
+      let graph, _ = Net_spec.build ~d spec in
+      match
+        Capacity.check_edges capacity
+          ~m:(Aqt_graph.Digraph.n_edges graph)
+      with
+      | Ok () -> ()
+      | Error e -> bad "parameter capacity: %s" e)
+  | _ -> ());
   let seed =
     match List.assoc_opt "seed" q with
     | Some v -> (
@@ -617,8 +617,8 @@ let simulate_handler t rng q =
          ("rate", Jsonx.Str (Ratio.to_string rate));
          ("adversary", Jsonx.Str adv.Stock.name);
          ("seed", Jsonx.Int seed);
-         ("capacity", Jsonx.Str (Capacity.describe capacity));
-         ("speedup", Jsonx.Int speedup);
+         ("capacity", Jsonx.Str (Capacity.to_string capacity));
+         ("speedup", Jsonx.Int (Capacity.speedup capacity));
          ("steps", Jsonx.Int outcome.Sim.steps_run);
          ("injected", Jsonx.Int injected);
          ("absorbed", Jsonx.Int (Network.absorbed net));
@@ -665,7 +665,7 @@ let index_body t =
     \  GET  /experiment/<name>    cached run of a registered experiment\n\
     \  GET  /figure/<id>          report figure as SVG\n\
     \  GET  /simulate?network=ring:8&policy=fifo&rate=1/4&horizon=5000\n\
-    \       [&seed=N][&cap=K&drop=drop-tail|drop-head&speedup=S]\n";
+    \       [&seed=N][&capacity=uniform:2:drop-head@2]\n";
   Buffer.contents b
 
 let strip_prefix ~prefix s =

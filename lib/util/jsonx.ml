@@ -247,10 +247,6 @@ let get k v =
   | Some v -> v
   | None -> failwith (Printf.sprintf "Jsonx: missing key %S" k)
 
-let to_bool = function
-  | Bool b -> b
-  | _ -> failwith "Jsonx: expected bool"
-
 let to_int = function Int i -> i | _ -> failwith "Jsonx: expected int"
 
 let to_float = function

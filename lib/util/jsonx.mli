@@ -30,7 +30,6 @@ val of_string : string -> t
 
 val member : string -> t -> t option
 val get : string -> t -> t
-val to_bool : t -> bool
 val to_int : t -> int
 val to_float : t -> float
 val to_str : t -> string

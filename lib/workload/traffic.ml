@@ -8,12 +8,43 @@ type pattern =
   | All_to_all
   | Hotspot of { hot_num : int; hot_den : int }
 
-let pattern_name = function
+let pattern_to_string = function
   | Permutation -> "permutation"
-  | Incast { senders } -> Printf.sprintf "incast(%d)" senders
+  | Incast { senders } -> Printf.sprintf "incast:%d" senders
   | All_to_all -> "all-to-all"
   | Hotspot { hot_num; hot_den } ->
-      Printf.sprintf "hotspot(%d/%d)" hot_num hot_den
+      Printf.sprintf "hotspot:%d/%d" hot_num hot_den
+
+let pattern_error = function
+  | Incast { senders } when senders < 1 ->
+      Some "incast needs at least one sender"
+  | Hotspot { hot_num; hot_den }
+    when hot_den < 1 || hot_num < 0 || hot_num > hot_den ->
+      Some "hotspot fraction must be in [0, 1]"
+  | _ -> None
+
+let pattern_of_string s =
+  let pattern =
+    match String.split_on_char ':' (String.trim s) with
+    | [ "permutation" ] -> Some Permutation
+    | [ "all-to-all" ] -> Some All_to_all
+    | [ "incast"; n ] ->
+        Option.map (fun senders -> Incast { senders }) (int_of_string_opt n)
+    | [ "hotspot"; f ] -> (
+        match List.map int_of_string_opt (String.split_on_char '/' f) with
+        | [ Some hot_num; Some hot_den ] -> Some (Hotspot { hot_num; hot_den })
+        | _ -> None)
+    | _ -> None
+  in
+  match pattern with
+  | None ->
+      Error
+        (Printf.sprintf
+           "unknown pattern %S (permutation | incast:N | all-to-all | \
+            hotspot:N/D)"
+           s)
+  | Some p -> (
+      match pattern_error p with Some e -> Error e | None -> Ok p)
 
 type spec = {
   pattern : pattern;
@@ -72,14 +103,9 @@ let validate_spec spec =
         check w tl
   in
   check 0 spec.flow_cdf;
-  (match spec.pattern with
-  | Incast { senders } ->
-      if senders < 1 then
-        invalid_arg "Traffic.compile: incast needs at least one sender"
-  | Hotspot { hot_num; hot_den } ->
-      if hot_den < 1 || hot_num < 0 || hot_num > hot_den then
-        invalid_arg "Traffic.compile: hotspot fraction must be in [0, 1]"
-  | Permutation | All_to_all -> ())
+  Option.iter
+    (fun e -> invalid_arg ("Traffic.compile: " ^ e))
+    (pattern_error spec.pattern)
 
 let draw_cdf prng cdf =
   let total = List.fold_left (fun _ (w, _) -> w) 0 cdf in
@@ -240,7 +266,7 @@ let describe c =
   Printf.sprintf
     "%s: %d pairs x %d conns, util %s of bottleneck %d -> conn rate %s, %d \
      flows, %d packets over %d steps (rho=%s, sigma_max=%d)"
-    (pattern_name c.spec.pattern) (Array.length c.pairs)
+    (pattern_to_string c.spec.pattern) (Array.length c.pairs)
     c.spec.conns_per_pair
     (Ratio.to_string c.spec.utilisation)
     c.bottleneck

@@ -31,7 +31,14 @@ type pattern =
       (** Permutation background; each non-hot sender redirects to one
           hot receiver with probability [hot_num/hot_den]. *)
 
-val pattern_name : pattern -> string
+val pattern_to_string : pattern -> string
+(** The canonical form: [permutation], [incast:N], [all-to-all] or
+    [hotspot:N/D]. *)
+
+val pattern_of_string : string -> (pattern, string) result
+(** Inverse of {!pattern_to_string}; surrounding blanks are ignored.  A
+    pattern {!compile} would reject (no incast sender, a hotspot fraction
+    outside [[0, 1]]) is an [Error]. *)
 
 type spec = {
   pattern : pattern;

@@ -30,10 +30,10 @@ let model_basics () =
   check_int "speedup" 3 (Capacity.speedup u);
   check_bool "drop head" true (Capacity.drop_head u);
   check_int "caps" 5 (Capacity.caps u ~m:4).(3);
-  check_bool "roundtrip policy names" true
-    (Capacity.policy_of_string (Capacity.policy_name Capacity.Drop_head)
-    = Some Capacity.Drop_head);
-  check_bool "unknown policy" true (Capacity.policy_of_string "rand" = None);
+  check_bool "roundtrip syntax" true
+    (Capacity.of_string (Capacity.to_string u) = Ok u);
+  check_bool "unknown policy" true
+    (Result.is_error (Capacity.of_string "uniform:5:rand"));
   (match Capacity.make ~speedup:0 Capacity.Unbounded with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "speedup 0 accepted");

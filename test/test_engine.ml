@@ -279,18 +279,11 @@ let tracer_events () =
 
 (* Sim run loop *)
 
-let sim_horizon_and_drain () =
-  let net, l = line_net 2 in
-  let driver =
-    Sim.injections_only (fun _ t -> if t = 1 then [ inj l.edges ] else [])
-  in
-  let outcome = Sim.run ~drain_stop:true ~net ~driver ~horizon:100 () in
-  check_bool "drained" true (outcome.stop = Sim.Drained);
-  check_int "steps to drain" 3 outcome.steps_run;
-  let net2, _ = line_net 2 in
-  let outcome2 = Sim.run ~net:net2 ~driver:Sim.null_driver ~horizon:5 () in
-  check_bool "horizon" true (outcome2.stop = Sim.Horizon);
-  check_int "ran 5" 5 outcome2.steps_run
+let sim_horizon () =
+  let net, _ = line_net 2 in
+  let outcome = Sim.run ~net ~driver:Sim.null_driver ~horizon:5 () in
+  check_bool "horizon" true (outcome.stop = Sim.Horizon);
+  check_int "ran 5" 5 outcome.steps_run
 
 let sim_blowup_and_custom_stop () =
   let net, l = line_net 1 in
@@ -385,7 +378,7 @@ let () =
         ] );
       ( "sim",
         [
-          Alcotest.test_case "horizon and drain" `Quick sim_horizon_and_drain;
+          Alcotest.test_case "horizon" `Quick sim_horizon;
           Alcotest.test_case "blowup and custom stop" `Quick sim_blowup_and_custom_stop;
           Alcotest.test_case "recorder" `Quick recorder_sampling;
         ] );

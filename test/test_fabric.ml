@@ -74,14 +74,14 @@ let admissible_by_construction () =
       let log = log_of_schedule c in
       check_bool
         (Printf.sprintf "%s admissible (fast)"
-           (Traffic.pattern_name pattern))
+           (Traffic.pattern_to_string pattern))
         true
         (Rate_check.check_local ~rate:c.Traffic.rate ~sigmas:c.Traffic.sigmas
            log
         = Ok ());
       check_bool
         (Printf.sprintf "%s admissible (brute)"
-           (Traffic.pattern_name pattern))
+           (Traffic.pattern_to_string pattern))
         true
         (Rate_check.check_local_brute ~rate:c.Traffic.rate
            ~sigmas:c.Traffic.sigmas log
@@ -235,6 +235,167 @@ let prop_compiled_admissible =
         (log_of_schedule c)
       = Ok ())
 
+(* ------------------------------------------------------------------ *)
+(* Scenario-axis syntax: each printer is the exact inverse of its parser *)
+(* ------------------------------------------------------------------ *)
+
+let roundtrip ~name ~count gen print of_string to_string =
+  QCheck.Test.make ~name ~count (QCheck.make ~print gen) (fun x ->
+      of_string (to_string x) = Ok x)
+
+let prop_topo_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun k -> Scenario.Fat_tree { k = 2 * k }) (int_range 1 4);
+          map3
+            (fun spines leaves hosts_per_leaf ->
+              Scenario.Spine_leaf { spines; leaves; hosts_per_leaf })
+            (int_range 1 4) (int_range 1 6) (int_range 1 4);
+        ])
+  in
+  roundtrip ~name:"topology of_string inverts to_string" ~count:100 gen
+    Scenario.topo_to_string Scenario.topo_of_string Scenario.topo_to_string
+
+let prop_pattern_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          return Traffic.Permutation;
+          return Traffic.All_to_all;
+          map (fun senders -> Traffic.Incast { senders }) (int_range 1 100);
+          (int_range 1 9 >>= fun hot_den ->
+           map
+             (fun hot_num -> Traffic.Hotspot { hot_num; hot_den })
+             (int_range 0 hot_den));
+        ])
+  in
+  roundtrip ~name:"pattern of_string inverts to_string" ~count:200 gen
+    Traffic.pattern_to_string Traffic.pattern_of_string
+    Traffic.pattern_to_string
+
+let prop_capacity_roundtrip =
+  let drop = QCheck.Gen.oneofl [ Capacity.Drop_tail; Capacity.Drop_head ] in
+  let buffers =
+    QCheck.Gen.(
+      oneof
+        [
+          return Capacity.Unbounded;
+          map2
+            (fun cap policy -> Capacity.Uniform { cap; policy })
+            (int_range 0 50) drop;
+          map2
+            (fun caps policy -> Capacity.Per_edge { caps; policy })
+            (array_size (int_range 1 8) (int_range 0 9))
+            drop;
+          map3
+            (fun total alpha_num alpha_den ->
+              Capacity.Shared { total; alpha_num; alpha_den })
+            (int_range 0 512) (int_range 1 4) (int_range 1 4);
+        ])
+  in
+  let gen =
+    QCheck.Gen.map2
+      (fun speedup b -> Capacity.make ~speedup b)
+      (QCheck.Gen.int_range 1 3) buffers
+  in
+  roundtrip ~name:"capacity of_string inverts to_string" ~count:300 gen
+    Capacity.to_string Capacity.of_string Capacity.to_string
+
+let syntax_defaults_and_errors () =
+  let ok what expect = function
+    | Ok x -> check_bool what true (x = expect)
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  ok "drop-tail written out" (Capacity.uniform 3)
+    (Capacity.of_string "uniform:3:drop-tail@1");
+  ok "alpha 1/1 written out" (Capacity.shared 8)
+    (Capacity.of_string "shared:8:1/1");
+  ok "speedup-only" (Capacity.make ~speedup:2 Capacity.Unbounded)
+    (Capacity.of_string "unbounded@2");
+  ok "blanks ignored" Traffic.All_to_all
+    (Traffic.pattern_of_string " all-to-all ");
+  Alcotest.(check string)
+    "defaults omitted" "uniform:2:drop-head@2"
+    (Capacity.to_string
+       (Capacity.uniform ~policy:Capacity.Drop_head ~speedup:2 2));
+  let error what = function
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error (_ : string) -> ()
+  in
+  (match Scenario.topo_of_string "fat-tree:3" with
+  | Error e ->
+      Alcotest.(check string)
+        "generator's message" "Build.fat_tree: k must be even and >= 2 (got 3)"
+        e
+  | Ok _ -> Alcotest.fail "fat-tree:3 accepted");
+  error "spine-leaf:0,2,2" (Scenario.topo_of_string "spine-leaf:0,2,2");
+  error "fat-tree(4)" (Scenario.topo_of_string "fat-tree(4)");
+  error "hotspot:1" (Traffic.pattern_of_string "hotspot:1");
+  error "hotspot:3/2" (Traffic.pattern_of_string "hotspot:3/2");
+  error "incast:0" (Traffic.pattern_of_string "incast:0");
+  error "uniform:1:rand" (Capacity.of_string "uniform:1:rand");
+  error "shared=256 dt(1/1)" (Capacity.of_string "shared=256 dt(1/1)");
+  (match Capacity.of_string "uniform:-1" with
+  | Error e ->
+      Alcotest.(check string)
+        "make's message" "Capacity.Model.make: negative capacity" e
+  | Ok _ -> Alcotest.fail "uniform:-1 accepted");
+  error "shared:8:0/1" (Capacity.of_string "shared:8:0/1");
+  error "uniform:2@0" (Capacity.of_string "uniform:2@0");
+  check_bool "per-edge length checked" true
+    (Result.is_error
+       (Capacity.check_edges (Result.get_ok (Capacity.of_string "per-edge:1,2"))
+          ~m:3))
+
+(* Every catalog row, printed axis by axis and parsed back into
+   [Scenario.make], is the same scenario: same counters on a run. *)
+let catalog_rebuilds_from_printed_axes () =
+  let parse what of_string s =
+    match of_string s with
+    | Ok x -> x
+    | Error e -> Alcotest.failf "%s %S: %s" what s e
+  in
+  let counters (o : Scenario.outcome) =
+    ( ( o.Scenario.nodes,
+        o.Scenario.edges,
+        o.Scenario.n_hosts,
+        o.Scenario.n_pairs,
+        o.Scenario.n_flows ),
+      ( o.Scenario.injected,
+        o.Scenario.absorbed,
+        o.Scenario.dropped,
+        o.Scenario.in_flight,
+        o.Scenario.max_queue,
+        o.Scenario.peak_occupancy,
+        o.Scenario.max_dwell,
+        o.Scenario.latency_mean,
+        o.Scenario.legal ) )
+  in
+  List.iter
+    (fun (t : Scenario.t) ->
+      let rebuilt =
+        Scenario.make
+          ~topo:
+            (parse "topo" Scenario.topo_of_string
+               (Scenario.topo_to_string t.topo))
+          ~pattern:
+            (parse "pattern" Traffic.pattern_of_string
+               (Traffic.pattern_to_string t.pattern))
+          ~utilisation:
+            (parse "util" Ratio.of_string (Ratio.to_string t.utilisation))
+          ~policy:(Policies.by_name t.policy.name)
+          ~capacity:
+            (parse "capacity" Capacity.of_string
+               (Capacity.to_string t.capacity))
+          ~horizon:t.horizon ()
+      in
+      check_bool (t.name ^ " rebuilds") true
+        (counters (Scenario.run t) = counters (Scenario.run rebuilt)))
+    (Scenario.catalog ())
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "aqt_fabric"
@@ -258,5 +419,15 @@ let () =
           Alcotest.test_case "shared buffer drops" `Quick
             scenario_shared_buffer_drops;
           Alcotest.test_case "catalog" `Quick catalog_is_well_formed;
+        ] );
+      ( "syntax",
+        [
+          q prop_topo_roundtrip;
+          q prop_pattern_roundtrip;
+          q prop_capacity_roundtrip;
+          Alcotest.test_case "defaults and errors" `Quick
+            syntax_defaults_and_errors;
+          Alcotest.test_case "catalog rebuilds from its row" `Quick
+            catalog_rebuilds_from_printed_axes;
         ] );
     ]

@@ -13,17 +13,33 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+(* Every case runs inside one [Fs.with_temp_dir] root that is removed when
+   the case returns; [temp_dir ()] names a fresh directory under it, which
+   the code under test creates on demand. *)
+let temp_prefix = "aqt_harness_test"
+let temp_root = ref ""
+
 let temp_dir =
   let counter = ref 0 in
   fun () ->
     incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "aqt_harness_test_%d_%d" (Unix.getpid ()) !counter)
-    in
-    (* Fresh per test; the harness creates it on demand. *)
-    d
+    Filename.concat !temp_root (string_of_int !counter)
+
+let test_case name speed f =
+  Alcotest.test_case name speed (fun () ->
+      Aqt_harness.Fs.with_temp_dir ~prefix:temp_prefix (fun root ->
+          temp_root := root;
+          f ()))
+
+(* Runs last: no case left a temp directory of this process behind. *)
+let no_temp_dirs_left () =
+  let mine = Printf.sprintf "%s-%d-" temp_prefix (Unix.getpid ()) in
+  let left =
+    List.filter
+      (String.starts_with ~prefix:mine)
+      (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ())))
+  in
+  Alcotest.(check (list string)) "temp dirs left" [] left
 
 (* ------------------------------------------------------------------ *)
 (* Jsonx                                                               *)
@@ -649,56 +665,58 @@ let () =
     [
       ( "jsonx",
         [
-          Alcotest.test_case "round-trip" `Quick jsonx_roundtrip;
-          Alcotest.test_case "escapes" `Quick jsonx_parses_escapes;
-          Alcotest.test_case "rejects garbage" `Quick jsonx_rejects_garbage;
+          test_case "round-trip" `Quick jsonx_roundtrip;
+          test_case "escapes" `Quick jsonx_parses_escapes;
+          test_case "rejects garbage" `Quick jsonx_rejects_garbage;
         ] );
       ( "spec",
         [
-          Alcotest.test_case "hash deterministic" `Quick
+          test_case "hash deterministic" `Quick
             spec_hash_deterministic;
-          Alcotest.test_case "hash sensitivity" `Quick spec_hash_sensitivity;
-          Alcotest.test_case "duplicate keys" `Quick spec_rejects_duplicates;
+          test_case "hash sensitivity" `Quick spec_hash_sensitivity;
+          test_case "duplicate keys" `Quick spec_rejects_duplicates;
         ] );
       ( "registry",
         [
-          Alcotest.test_case "result json round-trip" `Quick
+          test_case "result json round-trip" `Quick
             result_json_roundtrip;
-          Alcotest.test_case "basics" `Quick registry_basics;
+          test_case "basics" `Quick registry_basics;
         ] );
       ( "cache",
         [
-          Alcotest.test_case "code salt pins trajectories" `Quick
+          test_case "code salt pins trajectories" `Quick
             code_salt_pins_trajectories;
-          Alcotest.test_case "round-trip" `Quick cache_roundtrip;
-          Alcotest.test_case "corrupt file" `Quick cache_corrupt_is_miss;
-          Alcotest.test_case "store over existing" `Quick
+          test_case "round-trip" `Quick cache_roundtrip;
+          test_case "corrupt file" `Quick cache_corrupt_is_miss;
+          test_case "store over existing" `Quick
             cache_store_over_existing;
-          Alcotest.test_case "crashed store publishes nothing" `Quick
+          test_case "crashed store publishes nothing" `Quick
             cache_crashed_store_publishes_nothing;
-          Alcotest.test_case "trim oldest first" `Quick cache_trim_oldest_first;
-          Alcotest.test_case "campaign trim leaves journals" `Quick
+          test_case "trim oldest first" `Quick cache_trim_oldest_first;
+          test_case "campaign trim leaves journals" `Quick
             campaign_trim_leaves_journals;
         ] );
       ( "journal",
         [
-          Alcotest.test_case "jsonl round-trip" `Quick journal_roundtrip;
-          Alcotest.test_case "snapshot event round-trip" `Quick
+          test_case "jsonl round-trip" `Quick journal_roundtrip;
+          test_case "snapshot event round-trip" `Quick
             journal_snapshot_roundtrip;
-          Alcotest.test_case "timeout event round-trip" `Quick
+          test_case "timeout event round-trip" `Quick
             journal_timeout_event_roundtrip;
-          Alcotest.test_case "degrades on append failure" `Quick
+          test_case "degrades on append failure" `Quick
             journal_degrades_on_append_failure;
         ] );
       ( "scheduler",
         [
-          Alcotest.test_case "cache flow" `Quick scheduler_cache_flow;
-          Alcotest.test_case "retry then fail" `Quick scheduler_retry_then_fail;
-          Alcotest.test_case "forced failure degrades" `Quick
+          test_case "cache flow" `Quick scheduler_cache_flow;
+          test_case "retry then fail" `Quick scheduler_retry_then_fail;
+          test_case "forced failure degrades" `Quick
             scheduler_forced_fail_degrades;
-          Alcotest.test_case "cooperative timeout" `Quick
+          test_case "cooperative timeout" `Quick
             scheduler_timeout_cooperative;
-          Alcotest.test_case "parallel campaign" `Quick
+          test_case "parallel campaign" `Quick
             scheduler_parallel_campaign;
         ] );
+      ( "cleanup",
+        [ Alcotest.test_case "no temp dirs left" `Quick no_temp_dirs_left ] );
     ]

@@ -18,13 +18,33 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+(* Every case runs inside one [Fs.with_temp_dir] root that is removed when
+   the case returns; [temp_dir ()] names a fresh directory under it, which
+   the code under test creates on demand. *)
+let temp_prefix = "aqt_report_test"
+let temp_root = ref ""
+
 let temp_dir =
   let counter = ref 0 in
   fun () ->
     incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "aqt_report_test_%d_%d" (Unix.getpid ()) !counter)
+    Filename.concat !temp_root (string_of_int !counter)
+
+let test_case name speed f =
+  Alcotest.test_case name speed (fun () ->
+      Aqt_harness.Fs.with_temp_dir ~prefix:temp_prefix (fun root ->
+          temp_root := root;
+          f ()))
+
+(* Runs last: no case left a temp directory of this process behind. *)
+let no_temp_dirs_left () =
+  let mine = Printf.sprintf "%s-%d-" temp_prefix (Unix.getpid ()) in
+  let left =
+    List.filter
+      (String.starts_with ~prefix:mine)
+      (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ())))
+  in
+  Alcotest.(check (list string)) "temp dirs left" [] left
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -290,21 +310,7 @@ let journal_readers () =
   check_bool "latest is run-b" true
     (match Journal.latest ~dir with
     | Some f -> Filename.basename f = "run-b.jsonl"
-    | None -> false);
-  let events =
-    [
-      finish "early" ~trajectory:[ [ ("t", 0.0); ("v", 1.0) ] ];
-      finish "empty";
-      finish "early" ~trajectory:[ [ ("t", 1.0); ("v", 2.0) ] ];
-      finish "late" ~trajectory:[ [ ("t", 0.0) ] ];
-    ]
-  in
-  match Journal.final_trajectories events with
-  | [ ("early", tr); ("late", _) ] ->
-      check_bool "last trajectory wins" true (tr = [ [ ("t", 1.0); ("v", 2.0) ] ])
-  | other ->
-      Alcotest.failf "unexpected trajectories: %d entries, order broken"
-        (List.length other)
+    | None -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Report helpers                                                      *)
@@ -396,11 +402,7 @@ let synthetic_figures () =
       experiments = [ "syn" ];
       render =
         (fun ctx ->
-          let rows =
-            match List.assoc_opt "syn" ctx.Report.trajectories with
-            | Some r -> r
-            | None -> []
-          in
+          let rows = Report.trajectory ctx "syn" in
           Plot.render ~title:"Synthetic trajectory"
             [
               Plot.series ~step:true "q"
@@ -449,7 +451,27 @@ let generate_is_deterministic () =
   check_bool "index names the experiment" true
     (contains ~needle:"`syn`" index);
   check_bool "trajectory figure has points" true
-    (contains ~needle:"<polyline" (read_file (List.nth paths1 2)))
+    (contains ~needle:"<polyline" (read_file (List.nth paths1 2)));
+  (* The context's trajectory, now from the cache, is the one the
+     journal recorded for the fresh run. *)
+  let ctx =
+    Report.build_ctx ~registry ~options
+      ~bench_csv:(Filename.concat campaign_dir "missing.csv")
+      (synthetic_figures ())
+  in
+  let journalled =
+    List.filter_map
+      (function
+        | Journal.Task_finish { name = "syn"; trajectory; _ } -> Some trajectory
+        | _ -> None)
+      (List.concat_map Journal.load (Journal.files ~dir:campaign_dir))
+  in
+  check_bool "journal recorded the trajectory" true (journalled <> []);
+  List.iter
+    (fun tr ->
+      check_bool "cached trajectory = journalled trajectory" true
+        (tr = Report.trajectory ctx "syn"))
+    journalled
 
 let unknown_figure_rejected () =
   let options =
@@ -470,28 +492,30 @@ let () =
     [
       ( "svg",
         [
-          Alcotest.test_case "number formatting" `Quick svg_number_formatting;
-          Alcotest.test_case "escaping" `Quick svg_escaping;
-          Alcotest.test_case "sequential ramp" `Quick svg_sequential_clamps;
+          test_case "number formatting" `Quick svg_number_formatting;
+          test_case "escaping" `Quick svg_escaping;
+          test_case "sequential ramp" `Quick svg_sequential_clamps;
         ] );
       ( "plot",
         [
-          Alcotest.test_case "ticks" `Quick plot_ticks;
-          Alcotest.test_case "degenerate inputs" `Quick plot_degenerate_inputs;
-          Alcotest.test_case "legend rule" `Quick plot_legend_rule;
-          Alcotest.test_case "hbars" `Quick plot_hbars;
+          test_case "ticks" `Quick plot_ticks;
+          test_case "degenerate inputs" `Quick plot_degenerate_inputs;
+          test_case "legend rule" `Quick plot_legend_rule;
+          test_case "hbars" `Quick plot_hbars;
         ] );
       ( "layout",
-        [ Alcotest.test_case "chain and cycle" `Quick layout_chain_and_cycle ] );
-      ( "heatmap", [ Alcotest.test_case "render" `Quick heatmap_render ] );
+        [ test_case "chain and cycle" `Quick layout_chain_and_cycle ] );
+      ( "heatmap", [ test_case "render" `Quick heatmap_render ] );
       ( "journal",
-        [ Alcotest.test_case "files, latest, trajectories" `Quick journal_readers ] );
+        [ test_case "files, latest, trajectories" `Quick journal_readers ] );
       ( "report",
         [
-          Alcotest.test_case "table parsing" `Quick table_parsing;
-          Alcotest.test_case "default figures" `Quick default_figure_set;
-          Alcotest.test_case "byte-identical generation" `Quick
+          test_case "table parsing" `Quick table_parsing;
+          test_case "default figures" `Quick default_figure_set;
+          test_case "byte-identical generation" `Quick
             generate_is_deterministic;
-          Alcotest.test_case "unknown figure" `Quick unknown_figure_rejected;
+          test_case "unknown figure" `Quick unknown_figure_rejected;
         ] );
+      ( "cleanup",
+        [ Alcotest.test_case "no temp dirs left" `Quick no_temp_dirs_left ] );
     ]

@@ -513,6 +513,61 @@ let serve_simulate_seeded () =
       | Some (Jsonx.Int _) -> ()
       | _ -> Alcotest.fail "no seed reported")
 
+(* One [capacity=] parameter in the buffer model's own syntax: the
+   counters are those of [Sweep.simulate] under the parsed model, and the
+   body echoes the canonical form. *)
+let serve_simulate_capacity () =
+  with_server (fun srv ->
+      let model = "uniform:2:drop-head@2" in
+      let r =
+        get srv
+          ("/simulate?network=ring:8&rate=1/2&horizon=500&seed=7&capacity="
+         ^ model)
+      in
+      check_int "status" 200 r.Http.status;
+      let field k =
+        match Jsonx.member k (body_json r) with
+        | Some (Jsonx.Int n) -> n
+        | _ -> Alcotest.failf "no integer field %s" k
+      in
+      (match Jsonx.member "capacity" (body_json r) with
+      | Some (Jsonx.Str c) -> check_string "capacity echoed" model c
+      | _ -> Alcotest.fail "no capacity field");
+      let capacity =
+        match Aqt_capacity.Model.of_string model with
+        | Ok c -> c
+        | Error e -> Alcotest.fail e
+      in
+      let { Aqt.Sweep.net; _ } =
+        Aqt.Sweep.simulate ~capacity ~network:(Aqt_graph.Net_spec.Ring 8)
+          ~d:4 ~policy:Aqt_policy.Policies.fifo
+          ~rate:(Aqt_util.Ratio.make 1 2) ~arrivals:Bursts ~horizon:500 ()
+      in
+      let module N = Aqt_engine.Network in
+      List.iter
+        (fun (k, v) -> check_int k v (field k))
+        [
+          ("speedup", 2);
+          ("injected", N.injected_count net);
+          ("absorbed", N.absorbed net);
+          ("dropped", N.dropped net);
+          ("displaced", N.displaced net);
+          ("peak_occupancy", N.peak_occupancy net);
+          ("max_queue", N.max_queue_ever net);
+        ];
+      check_bool "drops happen" true (field "dropped" > 0);
+      let bogus = get srv "/simulate?horizon=50&capacity=bogus" in
+      check_int "bogus model" 400 bogus.Http.status;
+      check_bool "parser's message" true
+        (contains bogus.Http.body "unknown capacity \"bogus\"");
+      check_int "per-edge list of the wrong length" 400
+        (get srv "/simulate?network=ring:4&horizon=50&capacity=per-edge:1,2")
+          .Http.status;
+      check_int "per-edge list of the right length" 200
+        (get srv
+           "/simulate?network=ring:4&horizon=50&capacity=per-edge:1,2,1,2")
+          .Http.status)
+
 (* The cheapest admitted endpoint: /healthz is fast-path (bypasses
    admission), so capacity tests drive a tiny seeded /simulate. *)
 let sim_tiny_path = "/simulate?network=ring:6&policy=fifo&rate=1/4&horizon=200&seed=3"
@@ -1347,6 +1402,7 @@ let () =
           Alcotest.test_case "experiment cache" `Quick serve_experiment_cached;
           Alcotest.test_case "figure render" `Quick serve_figure;
           Alcotest.test_case "simulate seeded" `Quick serve_simulate_seeded;
+          Alcotest.test_case "simulate capacity" `Quick serve_simulate_capacity;
           Alcotest.test_case "below capacity all 200" `Quick
             serve_below_capacity;
           Alcotest.test_case "above capacity bounded shed" `Quick

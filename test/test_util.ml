@@ -329,43 +329,6 @@ let prop_heap_matches_sort =
       popped = expected)
 
 (* ------------------------------------------------------------------ *)
-(* Histo                                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Histo = Aqt_util.Histo
-
-let histo_basics () =
-  let h = Histo.create () in
-  check_int "empty count" 0 (Histo.count h);
-  check_int "empty percentile" 0 (Histo.percentile h 0.5);
-  List.iter (Histo.record h) [ 0; 1; 1; 3; 6; 100 ];
-  check_int "count" 6 (Histo.count h);
-  check_int "max" 100 (Histo.max_value h);
-  check_int "p100 = max" 100 (Histo.percentile h 1.0);
-  (* p50: third sample in sorted order is 1. *)
-  check_int "p50 upper bound" 1 (Histo.percentile h 0.5);
-  check_int "buckets" 5 (List.length (Histo.buckets h));
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Histo.record: negative value") (fun () ->
-      Histo.record h (-1))
-
-let prop_histo_percentile_upper_bound =
-  QCheck.Test.make ~name:"percentile upper-bounds the exact quantile"
-    ~count:300
-    QCheck.(pair (list_of_size (Gen.int_range 1 50) (int_range 0 500))
-              (int_range 0 100))
-    (fun (xs, pi) ->
-      let p = float_of_int pi /. 100.0 in
-      let h = Histo.create () in
-      List.iter (Histo.record h) xs;
-      let sorted = List.sort compare xs in
-      let n = List.length xs in
-      let idx = max 0 (int_of_float (Float.ceil (p *. float_of_int n)) - 1) in
-      let exact = List.nth sorted idx in
-      let est = Histo.percentile h p in
-      est >= exact && est <= Histo.max_value h)
-
-(* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -698,11 +661,6 @@ let () =
           Alcotest.test_case "tie stability" `Quick heap_tie_stability;
           q prop_heap_sorted_view;
           q prop_heap_matches_sort;
-        ] );
-      ( "histo",
-        [
-          Alcotest.test_case "basics" `Quick histo_basics;
-          q prop_histo_percentile_upper_bound;
         ] );
       ( "prng",
         [
