@@ -16,10 +16,14 @@ let () =
   match args with
   | [ "list" ] -> List.iter print_endline (Registry.names registry)
   | [] -> List.iter run_entry (Registry.all registry)
-  | ids ->
-      List.iter
-        (fun id ->
-          match Registry.find registry (String.lowercase_ascii id) with
-          | Some e -> run_entry e
-          | None -> Printf.eprintf "unknown experiment %S (try: list)\n" id)
-        ids
+  | ids -> (
+      (* Resolve every id before running any, so a typo costs nothing. *)
+      match
+        List.map
+          (fun id -> Registry.resolve registry (String.lowercase_ascii id))
+          ids
+      with
+      | entries -> List.iter run_entry entries
+      | exception Failure msg ->
+          Printf.eprintf "bench/main.exe: %s\n" msg;
+          exit 2)

@@ -720,20 +720,12 @@ let report_cmd =
       & info [ "only" ] ~docv:"IDS"
           ~doc:"Comma-separated figure ids (default: all; see --list).")
   in
-  let bench_csv_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-csv" ] ~docv:"FILE"
-          ~doc:"Microbenchmark CSV for the bench figure (default: \
-                bench_results/b_microbench.csv).")
-  in
   let list_arg =
     Arg.(
       value & flag
       & info [ "list" ] ~doc:"List figure ids and exit (nothing is run).")
   in
-  let run out dir only bench_csv list =
+  let run out dir only list =
     if list then
       List.iter
         (fun (f : Report.figure) -> Printf.printf "%-14s %s\n" f.id f.title)
@@ -741,7 +733,7 @@ let report_cmd =
     else begin
       let options = { Campaign.default_options with dir; quiet = true } in
       match
-        Report.generate ?bench_csv ~only ~registry:(Aqt_experiments.registry ())
+        Report.generate ~only ~registry:(Aqt_experiments.registry ())
           ~options ~out ()
       with
       | paths ->
@@ -756,88 +748,9 @@ let report_cmd =
        ~doc:
          "Regenerate the experiment report (docs/report): deterministic SVG \
           figures from the campaign cache, inline seeded simulations and the \
-          committed bench CSV, plus a Markdown index.  Byte-identical across \
-          runs; CI diffs the output against the committed copy.")
-    Term.(const run $ out_arg $ dir_arg $ only_arg $ bench_csv_arg $ list_arg)
-
-(* ------------------------------------------------------------------ *)
-(* bench-gate: compare a microbenchmark CSV against a baseline         *)
-(* ------------------------------------------------------------------ *)
-
-let bench_gate_cmd =
-  let run baseline current tolerance =
-    let load = Aqt_report.Report.read_bench_csv in
-    match (load baseline, load current) with
-    | exception (Sys_error msg | Failure msg) ->
-        Printf.eprintf "aqt_sim bench-gate: %s\n" msg;
-        exit 2
-    | base, cur ->
-        let tbl =
-          Tbl.create
-            ~headers:[ "benchmark"; "baseline ns"; "current ns"; "ratio"; "" ]
-        in
-        let regressions = ref 0 in
-        List.iter
-          (fun (name, base_ns) ->
-            match List.assoc_opt name cur with
-            | None -> Tbl.add_row tbl [ name; Tbl.ff base_ns; "-"; "-"; "gone" ]
-            | Some cur_ns ->
-                let ratio = cur_ns /. base_ns in
-                let flag =
-                  if ratio > 1. +. tolerance then begin
-                    incr regressions;
-                    "REGRESSED"
-                  end
-                  else if ratio < 1. -. tolerance then "improved"
-                  else "ok"
-                in
-                Tbl.add_row tbl
-                  [
-                    name;
-                    Tbl.ff base_ns;
-                    Tbl.ff cur_ns;
-                    Printf.sprintf "%.2f" ratio;
-                    flag;
-                  ])
-          base;
-        List.iter
-          (fun (name, cur_ns) ->
-            if not (List.mem_assoc name base) then
-              Tbl.add_row tbl [ name; "-"; Tbl.ff cur_ns; "-"; "new" ])
-          cur;
-        Tbl.print tbl;
-        if !regressions > 0 then begin
-          Printf.printf "\n%d benchmark(s) regressed more than %.0f%%\n"
-            !regressions (tolerance *. 100.);
-          exit 1
-        end
-        else Printf.printf "\nno regression beyond %.0f%%\n" (tolerance *. 100.)
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt string "bench_results/b_microbench.csv"
-      & info [ "baseline" ] ~docv:"CSV"
-          ~doc:"Baseline microbenchmark CSV (benchmark,ns/run,...).")
-  in
-  let current =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "current" ] ~docv:"CSV" ~doc:"Freshly measured CSV to check.")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 0.25
-      & info [ "tolerance" ]
-          ~doc:"Allowed slowdown fraction before failing (default 0.25).")
-  in
-  Cmd.v
-    (Cmd.info "bench-gate"
-       ~doc:
-         "Compare a microbenchmark CSV against a baseline; exit 1 if any \
-          benchmark slowed beyond the tolerance")
-    Term.(const run $ baseline $ current $ tolerance)
+          committed loadgen journal, plus a Markdown index.  Byte-identical \
+          across runs; CI diffs the output against the committed copy.")
+    Term.(const run $ out_arg $ dir_arg $ only_arg $ list_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the rate-admission simulation service                        *)
@@ -1401,9 +1314,10 @@ let check_cmd =
 
 let soa_scale_cmd =
   let run edges domains steps out =
-    (* The b_microbench soa_step workload at every size: ~0.1 load from
-       100-hop routes injected at evenly spaced starts, measured after a
-       warmup that reaches steady state (route length + slack). *)
+    (* A K-edge ring at ~0.1 load: every step injects K/1000 fresh
+       100-hop routes at evenly spaced starts, so about K/10 packets are
+       in flight once the warmup (route length + slack) reaches steady
+       state.  Each cell reports the best of 3 timed batches. *)
     let hops = 100 in
     let cell k ndom =
       let ring = Build.ring k in
@@ -1491,9 +1405,8 @@ let soa_scale_cmd =
     (Cmd.info "soa-scale"
        ~doc:
          "Measure struct-of-arrays engine step cost across ring sizes and \
-          domain counts on the microbenchmark workload (100-hop routes at \
-          ~0.1 load), reporting ns per edge-step and ns per forwarded \
-          packet.")
+          domain counts at ~0.1 load (100-hop routes), reporting \
+          ns per edge-step and ns per forwarded packet.")
     Term.(const run $ edges $ domains $ steps $ out)
 
 (* ------------------------------------------------------------------ *)
@@ -1684,6 +1597,6 @@ let () =
           [
             params_cmd; instability_cmd; stability_cmd; simulate_cmd;
             sweep_cmd; plan_cmd; fluid_cmd; replay_cmd; workloads_cmd;
-            spacetime_cmd; campaign_cmd; report_cmd; bench_gate_cmd; check_cmd;
+            spacetime_cmd; campaign_cmd; report_cmd; check_cmd;
             soa_scale_cmd; serve_cmd; loadgen_cmd; fabric_cmd;
           ]))

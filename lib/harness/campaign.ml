@@ -39,14 +39,7 @@ type summary = {
 }
 
 let select ~(registry : Registry.t) (options : options) =
-  let resolve name =
-    match Registry.find registry name with
-    | Some e -> e
-    | None ->
-        failwith
-          (Printf.sprintf "unknown experiment %S (known: %s)" name
-             (String.concat ", " (Registry.names registry)))
-  in
+  let resolve = Registry.resolve registry in
   List.iter (fun n -> ignore (resolve n)) options.fail;
   match options.only with
   | [] -> Registry.all registry

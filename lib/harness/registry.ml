@@ -71,6 +71,14 @@ let find t name = Hashtbl.find_opt t.tbl name
 let all t = List.rev t.rev_order
 let names t = List.map (fun e -> e.name) (all t)
 
+let resolve t name =
+  match find t name with
+  | Some e -> e
+  | None ->
+      failwith
+        (Printf.sprintf "unknown experiment %S (known: %s)" name
+           (String.concat ", " (names t)))
+
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)

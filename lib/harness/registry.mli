@@ -72,6 +72,10 @@ val all : t -> entry list
 
 val names : t -> string list
 
+val resolve : t -> string -> entry
+(** [find], failing on an unknown name.
+    @raise Failure naming the unknown name and every known one. *)
+
 (** {2 Rendering and serialization} *)
 
 val print_result : ?csv_dir:string -> result -> unit

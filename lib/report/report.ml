@@ -9,10 +9,7 @@ module Stock = Aqt_adversary.Stock
 module Policies = Aqt_policy.Policies
 module G = Aqt.Gadget
 
-type ctx = {
-  results : (string * Registry.result) list;
-  bench : (string * float) list;
-}
+type ctx = { results : (string * Registry.result) list }
 
 type figure = {
   id : string;
@@ -455,10 +452,6 @@ let render_spacetime _ =
     ~title:"Startup + one pump on F(n)^2 - queue occupancy over time"
     ~rows ~cols values
 
-let render_bench ctx =
-  Plot.hbars ~log_x:true ~x_label:"ns per run"
-    ~title:"Engine microbenchmarks (committed bench_results CSV)" ctx.bench
-
 let default_figures () =
   [
     {
@@ -683,17 +676,6 @@ let default_figures () =
       experiments = [];
       render = render_spacetime;
     };
-    {
-      id = "bench";
-      title = "Engine microbenchmarks";
-      caption =
-        "ns per run for the engine microbenchmarks, read from the \
-         committed `bench_results/b_microbench.csv` (regenerated by \
-         `dune exec bench/main.exe -- bench`; gated against regression \
-         by `aqt_sim bench-gate`).  Log scale.";
-      experiments = [];
-      render = render_bench;
-    };
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -754,47 +736,7 @@ let index_md ~registry figures =
     figures;
   Buffer.contents buf
 
-(* Benchmark names in b_microbench.csv contain no commas or quotes, so a
-   plain split is a faithful parser for this format. *)
-let read_bench_csv path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let split line = String.split_on_char ',' line in
-      let headers =
-        match input_line ic with
-        | h -> split h
-        | exception End_of_file ->
-            failwith (Printf.sprintf "%s: empty CSV" path)
-      in
-      let ns_col =
-        let rec idx i = function
-          | [] ->
-              failwith
-                (Printf.sprintf "%s: no \"ns/run\" column in %s" path
-                   (String.concat "," headers))
-          | "ns/run" :: _ -> i
-          | _ :: rest -> idx (i + 1) rest
-        in
-        idx 0 headers
-      in
-      let rec rows acc =
-        match input_line ic with
-        | exception End_of_file -> List.rev acc
-        | line -> (
-            let cells = split line in
-            match List.nth_opt cells ns_col with
-            | Some v -> (
-                match float_of_string_opt (String.trim v) with
-                | Some ns -> rows ((List.hd cells, ns) :: acc)
-                | None -> rows acc)
-            | None -> rows acc)
-      in
-      rows [])
-
-let build_ctx ?(bench_csv = Filename.concat "bench_results" "b_microbench.csv")
-    ~registry ~options figures =
+let build_ctx ~registry ~options figures =
   let needed = dedup (List.concat_map (fun f -> f.experiments) figures) in
   let results =
     if needed = [] then []
@@ -808,12 +750,9 @@ let build_ctx ?(bench_csv = Filename.concat "bench_results" "b_microbench.csv")
           Option.map (fun r -> (tr.Scheduler.name, r)) tr.Scheduler.result)
         summary.Campaign.results
   in
-  let bench =
-    if Sys.file_exists bench_csv then read_bench_csv bench_csv else []
-  in
-  { results; bench }
+  { results }
 
-let generate ?figures ?only ?bench_csv ~registry ~options ~out () =
+let generate ?figures ?only ~registry ~options ~out () =
   let figures =
     match figures with Some fs -> fs | None -> default_figures ()
   in
@@ -831,7 +770,7 @@ let generate ?figures ?only ?bench_csv ~registry ~options ~out () =
                      (String.concat ", " (List.map (fun f -> f.id) figures))))
           ids
   in
-  let ctx = build_ctx ?bench_csv ~registry ~options figures in
+  let ctx = build_ctx ~registry ~options figures in
   Aqt_harness.Fs.mkdir_p out;
   let paths =
     List.map

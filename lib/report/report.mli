@@ -12,8 +12,8 @@
     - direct simulation: structural figures (the Figure 3.1/3.2 gadget
       renders, the spacetime heatmap, the stability sweep) run small
       seeded simulations inline;
-    - committed artifacts: the microbenchmark figure reads
-      [bench_results/b_microbench.csv].
+    - committed artifacts: the loadgen latency figure reads
+      [bench_results/loadgen_journal.jsonl].
 
     Everything is deterministic — seeded runs, fixed number formatting
     ({!Svg.f}), no timestamps — so regenerating over an unchanged tree
@@ -26,9 +26,6 @@ type ctx = {
           requested figure declared.  A cached result carries the same
           trajectory as a fresh run: floats round-trip exactly through
           the cache's [%.17g] JSON. *)
-  bench : (string * float) list;
-      (** Parsed [benchmark -> ns/run] rows of the committed
-          microbenchmark CSV; [[]] when the file is absent. *)
 }
 
 type figure = {
@@ -45,8 +42,8 @@ val default_figures : unit -> figure list
 (** The report shipped in [docs/report/]: gadget renders of Figures
     3.1/3.2, the E1 seed-growth curves, the E2 pump measured-vs-predicted
     plot and trajectory, the E7 stable-workload trajectory, the fluid
-    pump profile, the policy x rate sweep heatmap, the startup+pump
-    spacetime heatmap, and the microbenchmark chart. *)
+    pump profile, the policy x rate sweep heatmap and the startup+pump
+    spacetime heatmap, among others. *)
 
 (** {2 Data access helpers}
 
@@ -71,29 +68,19 @@ val trajectory_points :
     key are skipped. *)
 
 val build_ctx :
-  ?bench_csv:string ->
   registry:Aqt_harness.Registry.t ->
   options:Aqt_harness.Campaign.options ->
   figure list ->
   ctx
 (** Assemble the data context for a set of figures without rendering
     anything: run the union of their declared experiments through the
-    campaign (cache hits instant) and parse the bench CSV with
-    {!read_bench_csv}.  [generate] is [build_ctx] plus rendering to
-    disk; the serve daemon uses [build_ctx] directly to render single
-    figures in memory. *)
-
-val read_bench_csv : string -> (string * float) list
-(** The [(benchmark, ns/run)] rows of a microbenchmark CSV, in file order:
-    the first cell of each row and the cell under the ["ns/run"] header.
-    Rows whose cell is not a number are skipped.
-    @raise Failure on an empty file or one without an ["ns/run"] column.
-    @raise Sys_error if the file cannot be opened. *)
+    campaign (cache hits instant).  [generate] is [build_ctx] plus
+    rendering to disk; the serve daemon uses [build_ctx] directly to
+    render single figures in memory. *)
 
 val generate :
   ?figures:figure list ->
   ?only:string list ->
-  ?bench_csv:string ->
   registry:Aqt_harness.Registry.t ->
   options:Aqt_harness.Campaign.options ->
   out:string ->
@@ -102,7 +89,6 @@ val generate :
 (** Render [figures] (default {!default_figures}; [only] filters by
     figure id) into directory [out] (created as needed) and write
     [index.md].  [options] selects the campaign directory/salt — its
-    [only]/[quiet] fields are overridden internally.  [bench_csv]
-    defaults to [bench_results/b_microbench.csv].  Returns the paths
+    [only]/[quiet] fields are overridden internally.  Returns the paths
     written, index first.
     @raise Failure if [only] names an unknown figure. *)

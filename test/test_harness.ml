@@ -151,6 +151,11 @@ let registry_basics () =
   check_bool "registration order" true (Registry.names reg = [ "b"; "a" ]);
   check_bool "find hit" true (Registry.find reg "a" <> None);
   check_bool "find miss" true (Registry.find reg "zz" = None);
+  check_bool "resolve hit" true ((Registry.resolve reg "a").Registry.name = "a");
+  check_bool "resolve miss names the known ids" true
+    (match Registry.resolve reg "zz" with
+    | exception Failure msg -> msg = {|unknown experiment "zz" (known: b, a)|}
+    | _ -> false);
   check_bool "duplicate rejected" true
     (match Registry.register reg (dummy_entry "a") with
     | exception Invalid_argument _ -> true

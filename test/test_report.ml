@@ -425,9 +425,7 @@ let generate_is_deterministic () =
   let registry = synthetic_registry () in
   let out1 = temp_dir () and out2 = temp_dir () in
   let gen out =
-    Report.generate ~figures:(synthetic_figures ())
-      ~bench_csv:(Filename.concat campaign_dir "missing.csv") ~registry
-      ~options ~out ()
+    Report.generate ~figures:(synthetic_figures ()) ~registry ~options ~out ()
   in
   (* First run executes the experiment; the second is served from the
      campaign cache — the bytes must not change either way. *)
@@ -455,9 +453,7 @@ let generate_is_deterministic () =
   (* The context's trajectory, now from the cache, is the one the
      journal recorded for the fresh run. *)
   let ctx =
-    Report.build_ctx ~registry ~options
-      ~bench_csv:(Filename.concat campaign_dir "missing.csv")
-      (synthetic_figures ())
+    Report.build_ctx ~registry ~options (synthetic_figures ())
   in
   let journalled =
     List.filter_map
