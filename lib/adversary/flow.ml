@@ -1,12 +1,11 @@
 module Ratio = Aqt_util.Ratio
 
 type t = {
-  tag : string;
   max_total : int option;
-  route : int array;
   rate : Ratio.t;
   start : int;
   stop : int;
+  inj : Aqt_engine.Network.injection;  (* shared by all the flow's packets *)
 }
 
 let make ?(tag = "flow") ?max_total ~route ~rate ~start ~stop () =
@@ -17,10 +16,10 @@ let make ?(tag = "flow") ?max_total ~route ~rate ~start ~stop () =
   (match max_total with
   | Some m when m < 0 -> invalid_arg "Flow.make: negative max_total"
   | _ -> ());
-  { tag; max_total; route; rate; start; stop }
+  { max_total; rate; start; stop; inj = { route; tag } }
 
-let route f = f.route
-let tag f = f.tag
+let route f = f.inj.route
+let tag f = f.inj.tag
 let start f = f.start
 let stop f = f.stop
 
@@ -48,10 +47,10 @@ let last_injection_step f =
     Some !lo
   end
 
-let injections_at flows t =
-  List.concat_map
-    (fun f ->
-      let c = count_at f t in
-      List.init c (fun _ : Aqt_engine.Network.injection ->
-          { route = f.route; tag = f.tag }))
-    flows
+let rec prepend_copies n x rest =
+  if n <= 0 then rest else prepend_copies (n - 1) x (x :: rest)
+
+let rec injections_at flows t =
+  match flows with
+  | [] -> []
+  | f :: rest -> prepend_copies (count_at f t) f.inj (injections_at rest t)

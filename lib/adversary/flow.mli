@@ -46,4 +46,6 @@ val last_injection_step : t -> int option
 (** The step of the flow's final injection, or [None] for an empty flow. *)
 
 val injections_at : t list -> int -> Aqt_engine.Network.injection list
-(** All injections from a flow list at step [t], in list order. *)
+(** All injections from a flow list at step [t], in list order.  The list is
+    built directly from one injection record per flow, shared by every
+    packet the flow injects. *)

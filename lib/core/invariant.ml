@@ -11,17 +11,10 @@ type measurement = {
   egress_occupancy : int;
 }
 
-let remaining_route (p : Packet.t) =
-  Array.sub p.route p.hop (Array.length p.route - p.hop)
-
-(* Clause checks compare a prefix: a packet whose remaining route *starts
-   with* the required path and then leaves the gadget would violate clause
-   (4) in spirit; Def 3.5 pins the remaining routes exactly, so we compare
-   for equality. *)
-let route_equals expected (p : Packet.t) =
-  let rem = remaining_route p in
-  rem = expected
-
+(* Clause checks compare remaining routes for equality, not as a prefix:
+   a packet whose remaining route *starts with* the required path and then
+   leaves the gadget would violate clause (4) in spirit, and Def 3.5 pins
+   the remaining routes exactly. *)
 let measure net (g : Gadget.t) ~k =
   let n = g.n in
   let s_epath = ref 0 in
@@ -35,7 +28,8 @@ let measure net (g : Gadget.t) ~k =
     if len = 0 then incr empty_e_buffers;
     let expected = Gadget.e_remaining g ~k ~i in
     List.iter
-      (fun p -> if not (route_equals expected p) then incr bad_e_routes)
+      (fun p ->
+        if not (Packet.remaining_equals p expected) then incr bad_e_routes)
       packets
   done;
   let ingress = Gadget.ingress g ~k in
@@ -44,7 +38,7 @@ let measure net (g : Gadget.t) ~k =
   let bad_ingress_routes =
     List.length
       (List.filter
-         (fun p -> not (route_equals expected_ingress p))
+         (fun p -> not (Packet.remaining_equals p expected_ingress))
          ingress_packets)
   in
   let extraneous = ref 0 in

@@ -39,20 +39,50 @@ let check_new_edges ~rate net suffix =
   in
   go 0
 
-let shared_edge_exists packets =
-  match packets with
+(* A Def 3.5 class: the packets that carry one route array and stand at one
+   hop, hence share one remaining route.  The network interns every route it
+   installs, so packets with equal routes carry the same array, and one
+   physical comparison groups them. *)
+type cls = {
+  route : int array;
+  hop : int;
+  first : Packet.t;  (* earliest member in input order: named in errors *)
+  mutable tail : int array;  (* what Network.reroute installs after [hop] *)
+}
+
+let rec class_of (p : Packet.t) = function
+  | [] -> raise Not_found
+  | c :: rest ->
+      if c.route == p.route && c.hop = p.hop then c else class_of p rest
+
+(* Classes in order of first appearance.  Finding a packet's class is
+   linear in the number of classes: at most 91 in thm317, against 41,194
+   packets in that call. *)
+let classes_of packets =
+  List.rev
+    (List.fold_left
+       (fun classes (p : Packet.t) ->
+         match class_of p classes with
+         | _ -> classes
+         | exception Not_found ->
+             { route = p.route; hop = p.hop; first = p; tail = [||] }
+             :: classes)
+       [] packets)
+
+let rec mem_from (route : int array) e i =
+  i < Array.length route
+  && (Array.unsafe_get route i = e || mem_from route e (i + 1))
+
+(* Some edge of the first class's remaining route lies on every class's. *)
+let shared_edge_exists = function
   | [] -> true
-  | (first : Packet.t) :: rest ->
-      let remaining (p : Packet.t) =
-        Array.to_seq (Array.sub p.route p.hop (Array.length p.route - p.hop))
+  | first :: rest ->
+      let rec from i =
+        i < Array.length first.route
+        && (List.for_all (fun c -> mem_from c.route first.route.(i) c.hop) rest
+           || from (i + 1))
       in
-      let candidate_edges = remaining first in
-      Seq.exists
-        (fun e ->
-          List.for_all
-            (fun (p : Packet.t) -> Seq.exists (Int.equal e) (remaining p))
-            rest)
-        candidate_edges
+      from first.hop
 
 let extend_all ~rate net ~packets ~suffix =
   if packets = [] || Array.length suffix = 0 then Ok ()
@@ -66,34 +96,36 @@ let extend_all ~rate net ~packets ~suffix =
       | Some p -> Error (Packet_absorbed p.id)
       | None -> Ok ()
     in
-    let* () = if shared_edge_exists packets then Ok () else Error No_shared_edge in
+    let classes = classes_of packets in
+    let* () =
+      if shared_edge_exists classes then Ok () else Error No_shared_edge
+    in
     let* () = check_new_edges ~rate net suffix in
-    (* Validate every extension before mutating anything. *)
+    (* Validate every class's extension before mutating anything. *)
     let graph = Network.graph net in
-    let extended (p : Packet.t) = Array.append p.route suffix in
     let* () =
       let rec validate = function
         | [] -> Ok ()
-        | p :: rest ->
-            let route = extended p in
-            if Aqt_graph.Digraph.route_is_simple graph route then validate rest
+        | c :: rest ->
+            let route = Array.append c.route suffix in
+            if Aqt_graph.Digraph.route_is_simple graph route then begin
+              (* Network.reroute replaces everything beyond the next edge:
+                 the old remainder after it, then the suffix. *)
+              c.tail <-
+                Array.sub route (c.hop + 1) (Array.length route - c.hop - 1);
+              validate rest
+            end
             else
               Error
                 (Invalid_path
-                   (Format.asprintf "packet #%d: %a" p.Packet.id
+                   (Format.asprintf "packet #%d: %a" c.first.id
                       (Aqt_graph.Digraph.pp_route graph)
                       route))
       in
-      validate packets
+      validate classes
     in
     List.iter
-      (fun (p : Packet.t) ->
-        (* Network.reroute replaces everything beyond the next edge; keep the
-           old remainder and append the suffix. *)
-        let keep =
-          Array.sub p.route (p.hop + 1) (Array.length p.route - p.hop - 1)
-        in
-        Network.reroute net p (Array.append keep suffix))
+      (fun p -> Network.reroute net p (class_of p classes).tail)
       packets;
     Ok ()
   end

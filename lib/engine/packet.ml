@@ -19,6 +19,22 @@ let current_edge p =
   else p.route.(p.hop)
 
 let remaining p = Array.length p.route - p.hop
+
+(* Top-level so the comparison allocates no closure. *)
+let rec equal_from (route : int array) off (expected : int array) i =
+  i >= Array.length expected
+  || Array.unsafe_get route (off + i) = Array.unsafe_get expected i
+     && equal_from route off expected (i + 1)
+
+let segment_equals route off expected =
+  off >= 0
+  && off + Array.length expected <= Array.length route
+  && equal_from route off expected 0
+
+let remaining_equals p expected =
+  Array.length p.route - p.hop = Array.length expected
+  && equal_from p.route p.hop expected 0
+
 let traversed p = p.hop
 let is_absorbed p = p.hop >= Array.length p.route
 

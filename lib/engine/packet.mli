@@ -9,10 +9,11 @@
     second substep of step [t] ([buffered_at = t]) and can be forwarded in the
     first substep of step [t+1] at the earliest.
 
-    Sharing rules of the fast path: [route] may be an interned canonical
-    array shared with other packets ({!Route_intern}) — never mutate its
-    elements; route rewrites go through [Network.reroute], which installs a
-    fresh array.  When the owning network recycles packets
+    Sharing rules of the fast path: [route] is an interned canonical array
+    ({!Route_intern}) shared with every packet whose route has the same
+    contents — never mutate its elements.  Route rewrites go through
+    [Network.reroute], which installs the canonical array of the rewritten
+    route.  When the owning network recycles packets
     ([Network.create ~recycle:true]), a record may be reinitialised for a
     new packet after absorption, so do not hold on to absorbed packets —
     every field is mutable only to make that in-place reinitialisation
@@ -43,6 +44,15 @@ val current_edge : t -> int
 
 val remaining : t -> int
 (** Edges still to traverse, including the next one; 0 once absorbed. *)
+
+val remaining_equals : t -> int array -> bool
+(** [remaining_equals p expected]: the edges still to traverse, the next one
+    included, are exactly [expected].  Compares in place, allocating
+    nothing. *)
+
+val segment_equals : int array -> int -> int array -> bool
+(** [segment_equals route off expected]: [route] holds [expected] starting
+    at index [off].  Allocates nothing. *)
 
 val traversed : t -> int
 (** Edges already crossed (= distance from source). *)

@@ -10,9 +10,11 @@
    packets carrying the same route share storage and validation happens once
    per distinct route instead of once per packet.
 
-   The canonical arrays must never be mutated in place; [Network.reroute]
-   honours this by building a fresh (non-interned) array — copy-on-reroute
-   instead of copy-on-inject. *)
+   The canonical arrays must never be mutated in place.  Rerouting keeps
+   this: [Network.reroute] resolves the rewritten route through the same
+   table, so packets rerouted alike share one canonical array too, and a
+   rewritten route is validated on its first sighting like an injected
+   one. *)
 
 (* Top-level so the comparison compiles to a plain recursive call: a local
    [let rec] would capture [a]/[b] in a closure allocated on every probe,

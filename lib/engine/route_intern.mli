@@ -8,8 +8,9 @@
     per injection and nothing else.
 
     Canonical arrays are shared — they must never be mutated in place.
-    [Network.reroute] respects this by replacing a packet's route with a
-    fresh, non-interned array (copy-on-reroute).
+    [Network.reroute] interns the rewritten route too and installs the
+    canonical array, so every route a packet carries comes from the
+    table.
 
     A table may be shared between several networks over the {e same} graph
     (e.g. every cell of a rate sweep) so the route set is validated and

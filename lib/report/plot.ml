@@ -244,64 +244,3 @@ let render ?(w = 640.0) ?(h = 400.0) ?x_label ?y_label ?(y_from_zero = true)
         @ axis_labels
         @ frame ~w ~h ~title ?x_label ?y_label ()
         @ curves @ legend)
-
-let hbars ?(w = 720.0) ?(log_x = false) ?x_label ~title bars =
-  let open Svg in
-  let n = List.length bars in
-  let bar_h = 18.0 and gap = 8.0 in
-  let label_w = 260.0 in
-  let top = 34.0 in
-  let h =
-    top +. (float_of_int n *. (bar_h +. gap)) +. 40.0
-  in
-  let x0 = label_w and x1 = w -. 70.0 in
-  let value v = if log_x then log10 (Float.max v 1.0) else Float.max v 0.0 in
-  let vmax =
-    List.fold_left (fun acc (_, v) -> Float.max acc (value v)) 1.0 bars
-  in
-  let sx v = x0 +. (value v /. vmax *. (x1 -. x0)) in
-  let elements =
-    List.concat
-      (List.mapi
-         (fun i (label, v) ->
-           let y = top +. (float_of_int i *. (bar_h +. gap)) in
-           [
-             text_at ~x:(x0 -. 8.0) ~y:(y +. (bar_h /. 2.0) +. 3.5)
-               ~attrs:
-                 [
-                   ("text-anchor", "end"); ("font-size", "11");
-                   ("fill", text_primary);
-                 ]
-               label;
-             rect ~x:x0 ~y ~w:(Float.max 1.0 (sx v -. x0)) ~h:bar_h
-               ~attrs:[ ("fill", series_color 0); ("rx", "3") ] ();
-             text_at ~x:(sx v +. 6.0) ~y:(y +. (bar_h /. 2.0) +. 3.5)
-               ~attrs:[ ("font-size", "10"); ("fill", text_secondary) ]
-               (Svg.f v);
-           ])
-         bars)
-  in
-  let footer =
-    match x_label with
-    | Some l ->
-        [
-          text_at ~x:((x0 +. x1) /. 2.0) ~y:(h -. 12.0)
-            ~attrs:
-              [
-                ("text-anchor", "middle"); ("font-size", "11");
-                ("fill", text_secondary);
-              ]
-            (if log_x then l ^ " (log scale)" else l);
-        ]
-    | None -> []
-  in
-  document ~w ~h ~title
-    (text_at ~x:(w /. 2.0) ~y:20.0
-       ~attrs:
-         [
-           ("text-anchor", "middle"); ("font-size", "14");
-           ("fill", text_primary); ("font-weight", "bold");
-         ]
-       title
-    :: elements
-    @ footer)

@@ -35,18 +35,6 @@ val render :
     frame renders with a "no data" note.  [y_from_zero] (default [true])
     anchors the y-axis at 0 when all values are non-negative. *)
 
-val hbars :
-  ?w:float ->
-  ?log_x:bool ->
-  ?x_label:string ->
-  title:string ->
-  (string * float) list ->
-  string
-(** Horizontal bars, one per labelled value, in input order; bar length
-    on a linear or log10 axis ([log_x] default [false]; non-positive
-    values clamp to the axis minimum).  Height grows with the number of
-    bars.  Values are direct-labelled at the bar end. *)
-
 val ticks : lo:float -> hi:float -> max_ticks:int -> float list
 (** Nice tick positions (1-2-5 progression) covering [[lo, hi]]; exposed
     for tests.  Returns a single tick when the interval is empty. *)

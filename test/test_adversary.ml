@@ -77,6 +77,37 @@ let prop_flow_prefix_rate =
       && Flow.cumulative f t >= 0
       && Flow.cumulative f t >= Flow.cumulative f (t - 1))
 
+(* [Flow.injections_at] against its former definition, which built one
+   record per packet through intermediate lists. *)
+let injections_oracle flows t =
+  List.concat_map
+    (fun f ->
+      List.init (Flow.count_at f t) (fun _ : Aqt_engine.Network.injection ->
+          { route = Flow.route f; tag = Flow.tag f }))
+    flows
+
+let prop_injections_at_oracle =
+  QCheck.Test.make ~name:"injections_at equals the concat_map definition"
+    ~count:300
+    (QCheck.pair
+       (QCheck.list_of_size (QCheck.Gen.int_range 0 6)
+          (QCheck.quad
+             (QCheck.pair (QCheck.int_range 1 6) (QCheck.int_range 1 6))
+             (QCheck.int_range 1 30) (QCheck.int_range 0 30)
+             (QCheck.option (QCheck.int_range 0 8))))
+       (QCheck.int_range 0 70))
+    (fun (specs, t) ->
+      let flows =
+        List.mapi
+          (fun i ((p, q), start, len, max_total) ->
+            Flow.make ~tag:(Printf.sprintf "f%d" i) ?max_total
+              ~route:(Array.init (1 + (i mod 3)) (fun j -> i + j))
+              ~rate:(R.make (min p q) (max p q))
+              ~start ~stop:(start + len) ())
+          specs
+      in
+      Flow.injections_at flows t = injections_oracle flows t)
+
 (* ------------------------------------------------------------------ *)
 (* Rate_check                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -692,6 +723,7 @@ let () =
           Alcotest.test_case "last injection" `Quick flow_last_injection;
           Alcotest.test_case "rejections" `Quick flow_rejects;
           q prop_flow_prefix_rate;
+          q prop_injections_at_oracle;
         ] );
       ( "rate-check",
         [

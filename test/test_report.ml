@@ -211,15 +211,6 @@ let plot_legend_rule () =
   check_bool "legend names first series" true (contains ~needle:"alpha" two);
   check_bool "legend names second series" true (contains ~needle:"beta" two)
 
-let plot_hbars () =
-  let r =
-    Plot.hbars ~log_x:true ~x_label:"ns" ~title:"bench"
-      [ ("fast", 12.0); ("slow", 140000.0); ("zero", 0.0) ]
-  in
-  check_xml "hbars" r;
-  check_bool "labels present" true (contains ~needle:"slow" r);
-  check_xml "empty hbars" (Plot.hbars ~title:"none" [])
-
 (* ------------------------------------------------------------------ *)
 (* Layout                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -497,7 +488,6 @@ let () =
           test_case "ticks" `Quick plot_ticks;
           test_case "degenerate inputs" `Quick plot_degenerate_inputs;
           test_case "legend rule" `Quick plot_legend_rule;
-          test_case "hbars" `Quick plot_hbars;
         ] );
       ( "layout",
         [ test_case "chain and cycle" `Quick layout_chain_and_cycle ] );

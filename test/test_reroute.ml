@@ -152,6 +152,215 @@ let check_new_edges_direct () =
   check_bool "used edges are stale" true
     (Result.is_error (Reroute.check_new_edges ~rate net [| l.edges.(0) |]))
 
+(* ------------------------------------------------------------------ *)
+(* Def 3.5 classes                                                     *)
+(* ------------------------------------------------------------------ *)
+
+module RI = Aqt_engine.Route_intern
+
+(* Routes e0..e3, e1..e3 and e2..e3 injected together for three steps, then
+   one idle step: the buffers of e0..e3 hold packets of several routes and
+   hops, interleaved.  Every remaining route ends at e3, the shared edge;
+   e4 and beyond are new. *)
+let mixed_net () =
+  let l = B.line 9 in
+  let net = N.create ~graph:l.graph ~policy:Policies.fifo () in
+  for _ = 1 to 3 do
+    N.step net
+      [
+        inj (Array.sub l.edges 0 4);
+        inj (Array.sub l.edges 1 3);
+        inj (Array.sub l.edges 2 2);
+      ]
+  done;
+  N.step net [];
+  (net, l)
+
+let buffered_on net (l : B.line) edges =
+  List.concat_map (fun i -> N.buffer_packets net l.edges.(i)) edges
+
+let mixed_packets net l = buffered_on net l [ 0; 1; 2; 3 ]
+
+let n_classes packets =
+  List.length
+    (List.sort_uniq compare
+       (List.map
+          (fun (p : Packet.t) -> (Array.to_list p.route, p.hop))
+          packets))
+
+(* What each packet carries, route by contents. *)
+let contents net =
+  let acc = ref [] in
+  N.iter_buffered
+    (fun p ->
+      acc := (p.Packet.id, Array.to_list p.route, p.hop, p.reroutes) :: !acc)
+    net;
+  List.sort compare !acc
+
+let classes_match_per_packet_reference () =
+  let net, l = mixed_net () in
+  let packets = mixed_packets net l in
+  check_bool "several classes" true (n_classes packets >= 4);
+  let suffix = [| l.edges.(4); l.edges.(5) |] in
+  (match Reroute.extend_all ~rate net ~packets ~suffix with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "unexpected: %a" Reroute.pp_error e);
+  (* The reference: the same run, then one Network.reroute per packet with
+     its own old remainder and the suffix appended. *)
+  let ref_net, _ = mixed_net () in
+  List.iter
+    (fun (p : Packet.t) ->
+      let keep =
+        Array.sub p.route (p.hop + 1) (Array.length p.route - p.hop - 1)
+      in
+      N.reroute ref_net p (Array.append keep suffix))
+    (mixed_packets ref_net l);
+  check_bool "same routes, hops and reroutes" true
+    (contents net = contents ref_net);
+  check_int "same reroute count" (N.reroute_count ref_net) (N.reroute_count net);
+  check_int "one reroute per packet" (List.length packets) (N.reroute_count net)
+
+let class_shares_interned_array () =
+  let net, l = mixed_net () in
+  let packets = mixed_packets net l in
+  (* A class's new route is its old route plus the suffix, so classes that
+     differ only in hop end up sharing too. *)
+  let old_routes =
+    List.length
+      (List.sort_uniq compare
+         (List.map (fun (p : Packet.t) -> Array.to_list p.route) packets))
+  in
+  (match
+     Reroute.extend_all ~rate net ~packets
+       ~suffix:[| l.edges.(4); l.edges.(5) |]
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "unexpected: %a" Reroute.pp_error e);
+  let table = N.route_table net in
+  List.iter
+    (fun (p : Packet.t) ->
+      match RI.find table p.route with
+      | Some canonical ->
+          check_bool "the table's canonical array" true (canonical == p.route)
+      | None -> Alcotest.fail "rerouted route not interned")
+    packets;
+  check_bool "equal routes are one array" true
+    (List.for_all
+       (fun (p : Packet.t) ->
+         List.for_all
+           (fun (q : Packet.t) -> p.route <> q.route || p.route == q.route)
+           packets)
+       packets);
+  check_int "one array per old route" old_routes
+    (List.length
+       (List.fold_left
+          (fun arrays (p : Packet.t) ->
+            if List.exists (fun a -> a == p.route) arrays then arrays
+            else p.route :: arrays)
+          [] packets))
+
+let invalid_after_memo_hit () =
+  let l = B.line 5 in
+  let net = N.create ~graph:l.graph ~policy:Policies.fifo () in
+  N.step net (List.init 3 (fun _ -> inj (Array.sub l.edges 0 2)));
+  let p1, p2, p3 =
+    match N.buffer_packets net l.edges.(0) with
+    | [ p1; p2; p3 ] -> (p1, p2, p3)
+    | _ -> Alcotest.fail "expected three packets"
+  in
+  let suffix = [| l.edges.(1); l.edges.(2) |] in
+  N.reroute net p1 suffix;
+  N.reroute net p2 suffix;
+  check_bool "memo hit installs the same array" true (p1.route == p2.route);
+  let bad = [| l.edges.(0); l.edges.(1); l.edges.(3) |] in
+  Alcotest.check_raises "non-simple result"
+    (Invalid_argument
+       (Format.asprintf "Network: route %a is not a simple path"
+          (Aqt_graph.Digraph.pp_route (N.graph net))
+          bad))
+    (fun () -> N.reroute net p3 [| l.edges.(1); l.edges.(3) |]);
+  (* The same suffix array, edited in place into a non-simple one. *)
+  suffix.(1) <- l.edges.(3);
+  Alcotest.check_raises "edited suffix revalidated"
+    (Invalid_argument
+       (Format.asprintf "Network: route %a is not a simple path"
+          (Aqt_graph.Digraph.pp_route (N.graph net))
+          bad))
+    (fun () -> N.reroute net p3 suffix);
+  check_int "p3 untouched" 2 (Array.length p3.route);
+  check_int "p3 not rerouted" 0 p3.reroutes;
+  check_int "two reroutes" 2 (N.reroute_count net)
+
+let mutated_suffix_not_memoised () =
+  (* On a grid the node (0,1) has two ways on: right and down. *)
+  let g = B.grid ~rows:2 ~cols:3 in
+  let net = N.create ~graph:g.graph ~policy:Policies.fifo () in
+  let first = g.right_of 0 0 in
+  N.step net [ inj [| first |]; inj [| first |] ];
+  let p1, p2 =
+    match N.buffer_packets net first with
+    | [ p1; p2 ] -> (p1, p2)
+    | _ -> Alcotest.fail "expected two packets"
+  in
+  let suffix = [| g.right_of 0 1 |] in
+  N.reroute net p1 suffix;
+  suffix.(0) <- g.down_of 0 1;
+  N.reroute net p2 suffix;
+  check_bool "first keeps its route" true
+    (p1.route = [| first; g.right_of 0 1 |]);
+  check_bool "second follows the new contents" true
+    (p2.route = [| first; g.down_of 0 1 |])
+
+let snapshot packets =
+  List.map (fun (p : Packet.t) -> (p, p.route, p.hop, p.reroutes)) packets
+
+let unmodified name before =
+  List.iter
+    (fun ((p : Packet.t), route, hop, reroutes) ->
+      check_bool (name ^ ": same route array") true (p.route == route);
+      check_int (name ^ ": same hop") hop p.hop;
+      check_int (name ^ ": same reroutes") reroutes p.reroutes)
+    before
+
+let mixed_errors_atomic () =
+  (* Invalid_path: e5 does not follow e3.  The error names the first
+     packet of the first failing class. *)
+  let net, l = mixed_net () in
+  let packets = mixed_packets net l in
+  let before = snapshot packets in
+  (match Reroute.extend_all ~rate net ~packets ~suffix:[| l.edges.(5) |] with
+  | Error (Reroute.Invalid_path msg) ->
+      let first = Printf.sprintf "packet #%d:" (List.hd packets).id in
+      check_bool "names the first packet" true
+        (String.length msg >= String.length first
+        && String.sub msg 0 (String.length first) = first)
+  | _ -> Alcotest.fail "disconnected suffix must be rejected");
+  unmodified "invalid path" before;
+  (* Stale_edge: e4 carries an injection now. *)
+  let net, l = mixed_net () in
+  N.step net [ inj [| l.edges.(4) |] ];
+  let packets = mixed_packets net l in
+  let before = snapshot packets in
+  (match
+     Reroute.extend_all ~rate net ~packets
+       ~suffix:[| l.edges.(4); l.edges.(5) |]
+   with
+  | Error (Reroute.Stale_edge _) -> ()
+  | _ -> Alcotest.fail "recently used edge must be rejected");
+  unmodified "stale edge" before;
+  (* No_shared_edge: one more class whose remaining route avoids e3. *)
+  let net, l = mixed_net () in
+  N.step net [ inj [| l.edges.(7) |] ];
+  let packets = mixed_packets net l @ buffered_on net l [ 7 ] in
+  let before = snapshot packets in
+  (match
+     Reroute.extend_all ~rate net ~packets ~suffix:[| l.edges.(8) |]
+   with
+  | Error Reroute.No_shared_edge -> ()
+  | _ -> Alcotest.fail "disjoint routes must be rejected");
+  unmodified "no shared edge" before;
+  check_int "nothing rerouted" 0 (N.reroute_count net)
+
 (* Property form of Lemma 3.3: whenever [extend_all] accepts, the run's final
    effective routes still satisfy the exact rate-r constraint. *)
 let prop_accepted_extensions_stay_rate_legal =
@@ -231,6 +440,16 @@ let () =
           Alcotest.test_case "invalid path" `Quick rejects_invalid_path;
           Alcotest.test_case "atomic on error" `Quick error_is_atomic;
           Alcotest.test_case "check_new_edges" `Quick check_new_edges_direct;
+          Alcotest.test_case "classes match per-packet reroutes" `Quick
+            classes_match_per_packet_reference;
+          Alcotest.test_case "class shares one interned array" `Quick
+            class_shares_interned_array;
+          Alcotest.test_case "invalid right after a memo hit" `Quick
+            invalid_after_memo_hit;
+          Alcotest.test_case "edited suffix is not memoised" `Quick
+            mutated_suffix_not_memoised;
+          Alcotest.test_case "mixed-class errors are atomic" `Quick
+            mixed_errors_atomic;
           QCheck_alcotest.to_alcotest prop_accepted_extensions_stay_rate_legal;
           QCheck_alcotest.to_alcotest prop_stale_extensions_rejected;
         ] );
