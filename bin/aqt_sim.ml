@@ -116,7 +116,9 @@ let instability_cmd =
     Arg.(
       value & flag
       & info [ "validate" ]
-          ~doc:"Log every injection and check the rate-r constraint (Lemma 3.3).")
+          ~doc:
+            "Log every injection and check the rate-r constraint (Lemma 3.3); \
+             exit 1 if it is violated.")
   in
   let save_log =
     Arg.(
@@ -152,18 +154,23 @@ let instability_cmd =
     Printf.printf "steps: %d, max queue: %d, reroutes: %d\n"
       res.outcome.steps_run res.outcome.max_queue
       (Network.reroute_count res.net);
-    if validate then begin
-      let mg = Aqt_graph.Digraph.n_edges res.gadget.graph in
-      match
-        Aqt_adversary.Rate_check.check_rate ~m:mg ~rate:cfg.params.rate
-          (Network.injection_log res.net)
-      with
-      | Ok () -> print_endline "rate-r constraint: LEGAL (Lemma 3.3 verified)"
-      | Error v ->
-          Format.printf "rate-r constraint: VIOLATED %a@."
-            Aqt_adversary.Rate_check.pp_violation v
-    end;
-    match save_log with
+    let legal =
+      if not validate then true
+      else
+        let mg = Aqt_graph.Digraph.n_edges res.gadget.graph in
+        match
+          Aqt_adversary.Rate_check.check_rate ~m:mg ~rate:cfg.params.rate
+            (Network.injection_log res.net)
+        with
+        | Ok () ->
+            print_endline "rate-r constraint: LEGAL (Lemma 3.3 verified)";
+            true
+        | Error v ->
+            Format.printf "rate-r constraint: VIOLATED %a@."
+              Aqt_adversary.Rate_check.pp_violation v;
+            false
+    in
+    (match save_log with
     | None -> ()
     | Some file ->
         let meta =
@@ -175,7 +182,8 @@ let instability_cmd =
         in
         Aqt_adversary.Log_io.save file
           (Aqt_adversary.Log_io.of_network ~meta res.net);
-        Printf.printf "injection log written to %s\n" file
+        Printf.printf "injection log written to %s\n" file);
+    if not legal then exit 1
   in
   Cmd.v
     (Cmd.info "instability"

@@ -10,10 +10,19 @@
       at most [floor (r * w)] packets requiring that edge.
 
     Both checks are exact (integer arithmetic on [r = p/q], no floats).  The
-    all-intervals rate-r condition is checked in O(1) amortized per injection
-    via the potential [D_t = q*S_t - p*t], where [S_t] is the per-edge
-    injection prefix count: the condition holds iff
-    [D_t2 - min_(u < t2) D_u <= q - 1] for all [t2].
+    all-intervals conditions use the potential [D_t = q*S_t - p*t], where
+    [S_t] is the per-edge injection prefix count.  Over an interval
+    [[t1, t2]] of [len] steps with [count] packets on an edge,
+    [D_t2 - D_(t1-1) = q*count - p*len], the interval's {e excess}.  The
+    rate-r condition holds iff no excess is above [q - 1], the leaky-bucket
+    [(b, r)] condition iff none is above [q*b], and the locally bursty
+    condition iff none on edge [e] is above [q*sigma_e].
+
+    {!check_rate}, {!check_leaky}, {!check_local} and {!burstiness} make one
+    pass over the log in time order, O(1) per packet-edge, keeping O(m)
+    state beside the log: per edge, the prefix count, the running minimum
+    of [D] (with its step and count) and the largest excess so far with an
+    interval attaining it.  {!scan_edge} is the same pass over one edge.
 
     Checking the {e final effective routes} of a run that used rerouting
     against the plain rate-r condition is exactly the content of Lemma 3.3:
@@ -35,14 +44,20 @@ val check_rate :
 (** [check_rate ~m ~rate log] validates a log of [(injection time, route)]
     pairs, sorted by time, on a graph with [m] edges, against the rate-r
     all-intervals condition.  Routes must be simple (each edge at most once
-    per route).  Returns the first violation found (smallest edge id, then
-    earliest [t2]). *)
+    per route).  On a violation, reports the smallest violating edge id and
+    on it the interval of largest excess [q*count - p*len] (the earliest
+    [t2] on ties) — not the earliest violating interval: at rate 1/2 the
+    log [[3; 3; 10; 10; 10]] on edge 0 is reported as [[10, 10]] with count
+    3, although [[3, 3]] already violates.
+    @raise Invalid_argument on an unsorted log, an injection before step 1
+    or an edge outside [[0, m)]. *)
 
 val check_rate_brute :
   m:int -> rate:Aqt_util.Ratio.t -> (int * int array) array ->
   (unit, violation) result
 (** Reference implementation enumerating all intervals; O(T^2) per edge.
-    For cross-validation in tests only. *)
+    Reports the first violation in (edge, [t1], [t2]) order.  For
+    cross-validation in tests only. *)
 
 val check_windowed :
   m:int -> w:int -> rate:Aqt_util.Ratio.t -> (int * int array) array ->
@@ -58,7 +73,10 @@ val check_leaky :
     most [r * len + b] packets requiring any edge over every interval of
     [len] steps ([b >= 0] is the burst allowance).  [b = 0] is the strictest
     form; the rate-r condition of this paper sits between [b = 0] and
-    [b = 1]. *)
+    [b = 1].  Reports a violation like {!check_rate}: the smallest violating
+    edge and on it the interval of largest excess.
+    @raise Invalid_argument on a negative [b] and on the malformed logs
+    {!check_rate} rejects. *)
 
 val check_local :
   rate:Aqt_util.Ratio.t ->
@@ -69,10 +87,13 @@ val check_local :
     (arXiv:2208.09522): one global rate [rho] but a per-edge burst budget,
     [count <= rho * len + sigmas.(e)] for every edge [e] and every interval
     of [len] steps.  The edge count is [Array.length sigmas]; per edge this
-    is the leaky-bucket scan of {!check_leaky} with [b = sigmas.(e)]
-    (exact integer arithmetic, same potential as {!scan_edge}).
+    is the leaky-bucket threshold of {!check_leaky} with [b = sigmas.(e)]
+    (exact integer arithmetic, same pass as {!scan_edge}).
     [check_leaky ~b] is the special case of a constant sigma vector.
-    @raise Invalid_argument on a negative sigma. *)
+    Reports a violation like {!check_rate}: the smallest violating edge and
+    on it the interval of largest excess.
+    @raise Invalid_argument on a negative sigma and on the malformed logs
+    {!check_rate} rejects. *)
 
 val check_local_brute :
   rate:Aqt_util.Ratio.t ->
@@ -80,7 +101,8 @@ val check_local_brute :
   (int * int array) array ->
   (unit, violation) result
 (** Reference implementation of {!check_local} enumerating all intervals;
-    O(T^2) per edge.  For cross-validation in tests only. *)
+    O(T^2) per edge, sharing {!check_rate_brute}'s body.  For
+    cross-validation in tests only. *)
 
 val burstiness :
   m:int -> rate:Aqt_util.Ratio.t -> (int * int array) array -> int
@@ -91,13 +113,14 @@ val scan_edge :
   rate:Aqt_util.Ratio.t ->
   (int * int) array ->
   int * (int * int * int) option
-(** The potential-function scan underlying [check_rate], [check_leaky] and
-    [burstiness], exposed over one edge's event list for direct testing.
-    Input: [(time, multiplicity)] pairs with strictly increasing times
-    [>= 1] and positive multiplicities (the per-edge shape [bucketize]
-    produces).  With [r = p/q], returns the maximum over event times [t2]
-    of [D_t2 - min_(u < t2) D_u] where [D_t = q*S_t - p*t] and [S_t] is
-    the prefix count, plus a witness [(t1, t2, count)] attaining it.
+(** The potential-function pass underlying [check_rate], [check_leaky],
+    [check_local] and [burstiness], run over one edge's event list for
+    direct testing.  Input: [(time, multiplicity)] pairs with strictly
+    increasing times [>= 1] and positive multiplicities (one edge's view
+    of a log, same-step packets merged).  With [r = p/q], returns the
+    maximum over event times [t2] of [D_t2 - min_(u < t2) D_u] where
+    [D_t = q*S_t - p*t] and [S_t] is the prefix count, plus a witness
+    [(t1, t2, count)] attaining it.
 
     The sentinel for an empty event list is [(min_int, None)] — strictly
     below every achievable excess (the checks compare the excess against

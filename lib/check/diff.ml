@@ -247,37 +247,20 @@ let check_trace_invariants ~speedup tr ref_forwards =
 
 let check_obligations (scenario : Gen.scenario) fast =
   let log = Backend.injection_log fast in
+  let m = Digraph.n_edges scenario.Gen.graph in
+  let certify kind = function
+    | Ok () -> ()
+    | Error v -> fail kind (Format.asprintf "%a" Rate_check.pp_violation v)
+  in
   List.iter
     (function
-  | Gen.Rate_ok rate ->
-      let m = Digraph.n_edges scenario.Gen.graph in
-      (match Rate_check.check_rate ~m ~rate log with
-      | Ok () -> ()
-      | Error v ->
-          fail "rate" (Format.asprintf "%a" Rate_check.pp_violation v))
+  | Gen.Rate_ok rate -> certify "rate" (Rate_check.check_rate ~m ~rate log)
   | Gen.Windowed_ok { w; rate } ->
-      let m = Digraph.n_edges scenario.Gen.graph in
-      (match
-         Rate_check.check_windowed ~m ~w ~rate log
-       with
-      | Ok () -> ()
-      | Error v ->
-          fail "windowed" (Format.asprintf "%a" Rate_check.pp_violation v))
+      certify "windowed" (Rate_check.check_windowed ~m ~w ~rate log)
   | Gen.Leaky_ok { b; rate } ->
-      let m = Digraph.n_edges scenario.Gen.graph in
-      (match
-         Rate_check.check_leaky ~m ~b ~rate log
-       with
-      | Ok () -> ()
-      | Error v ->
-          fail "leaky" (Format.asprintf "%a" Rate_check.pp_violation v))
+      certify "leaky" (Rate_check.check_leaky ~m ~b ~rate log)
   | Gen.Local_ok { rate; sigmas } ->
-      (match
-         Rate_check.check_local ~rate ~sigmas log
-       with
-      | Ok () -> ()
-      | Error v ->
-          fail "local" (Format.asprintf "%a" Rate_check.pp_violation v))
+      certify "local" (Rate_check.check_local ~rate ~sigmas log)
   | Gen.Routes_valid ->
       Array.iter
         (fun (t, route) ->
@@ -288,7 +271,6 @@ let check_obligations (scenario : Gen.scenario) fast =
                     (List.map string_of_int (Array.to_list route)))))
         log
   | Gen.Drop_accounting ->
-      let m = Digraph.n_edges scenario.Gen.graph in
       let per_edge = ref 0 in
       for e = 0 to m - 1 do
         per_edge := !per_edge + Backend.dropped_on_edge fast e

@@ -51,41 +51,51 @@ let plan ~(params : Params.t) ~gadget ~k ~start ~total_old ~s_ingress =
 
 (* Old packets of gadget k: the e-path and ingress packets whose remaining
    routes match Def 3.5 exactly.  Stragglers from earlier phases (single-edge
-   scaffolding not yet absorbed) are left alone. *)
+   scaffolding not yet absorbed) are left alone.  Returns one list, the
+   e-path buffers' packets from e_1 on and then the ingress buffer's, each
+   buffer in forwarding order, with the e-path and ingress counts.  The
+   buffers are folded from the back, so an old packet costs one cons. *)
 let old_packets net gadget ~k =
-  let matching edge expected =
-    List.filter
-      (fun p -> Aqt_engine.Packet.remaining_equals p expected)
-      (Network.buffer_packets net edge)
+  let collect edge expected count acc =
+    Network.fold_buffer
+      (fun p acc ->
+        if Aqt_engine.Packet.remaining_equals p expected then begin
+          incr count;
+          p :: acc
+        end
+        else acc)
+      net edge acc
   in
-  let from_e =
-    List.concat
-      (List.init gadget.Gadget.n (fun idx ->
-           let i = idx + 1 in
-           matching
-             gadget.Gadget.e.(k - 1).(i - 1)
-             (Gadget.e_remaining gadget ~k ~i)))
+  let in_e = ref 0 and in_ingress = ref 0 in
+  let acc =
+    collect (Gadget.ingress gadget ~k) (Gadget.ingress_remaining gadget ~k)
+      in_ingress []
   in
-  let from_ingress =
-    matching (Gadget.ingress gadget ~k) (Gadget.ingress_remaining gadget ~k)
+  let rec e_path i acc =
+    if i = 0 then acc
+    else
+      e_path (i - 1)
+        (collect
+           gadget.Gadget.e.(k - 1).(i - 1)
+           (Gadget.e_remaining gadget ~k ~i)
+           in_e acc)
   in
-  (from_e, from_ingress)
+  let packets = e_path gadget.Gadget.n acc in
+  (packets, !in_e, !in_ingress)
 
 let phase ?(flow_filter = fun _ -> true) ~params ~gadget ~k : Phased.phase =
  fun net start ->
-  let from_e, from_ingress = old_packets net gadget ~k in
-  let total_old = List.length from_e + List.length from_ingress in
-  let s_ingress = List.length from_ingress in
+  let packets, in_e, s_ingress = old_packets net gadget ~k in
+  let total_old = in_e + s_ingress in
   let n = params.Params.n in
-  if List.length from_e < n || s_ingress < n then
+  if in_e < n || s_ingress < n then
     failwith
       (Printf.sprintf
          "Pump.phase: C(S, F(%d)) precondition not met (e-path holds %d, \
           ingress holds %d; need >= n = %d each)"
-         k (List.length from_e) s_ingress n);
+         k in_e s_ingress n);
   (match
-     Reroute.extend_all ~rate:params.Params.rate net
-       ~packets:(from_e @ from_ingress)
+     Reroute.extend_all ~rate:params.Params.rate net ~packets
        ~suffix:(Gadget.extension_suffix gadget ~k)
    with
   | Ok () -> ()

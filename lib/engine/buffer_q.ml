@@ -81,10 +81,25 @@ let peek b =
 let iter f b =
   match b.impl with Fifo d | Lifo d -> Dq.iter f d | Keyed h -> H.iter f h
 
+let fold_right f b init =
+  match b.impl with
+  | Fifo d ->
+      let acc = ref init in
+      for i = Dq.length d - 1 downto 0 do
+        acc := f (Dq.get d i) !acc
+      done;
+      !acc
+  | Lifo d ->
+      let acc = ref init in
+      for i = 0 to Dq.length d - 1 do
+        acc := f (Dq.get d i) !acc
+      done;
+      !acc
+  | Keyed h -> List.fold_right f (H.to_sorted_list h) init
+
 let to_sorted_list b =
   match b.impl with
-  | Fifo d -> Dq.to_list d
-  | Lifo d -> List.rev (Dq.to_list d)
+  | Fifo _ | Lifo _ -> fold_right List.cons b []
   | Keyed h -> H.to_sorted_list h
 
 let arrivals b = b.seq

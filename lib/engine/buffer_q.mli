@@ -45,6 +45,10 @@ val iter : (Packet.t -> unit) -> t -> unit
 val to_sorted_list : t -> Packet.t list
 (** Forwarding order (head of the queue first). *)
 
+val fold_right : (Packet.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_right f b init] is [List.fold_right f (to_sorted_list b) init],
+    without the list for FIFO and LIFO buffers. *)
+
 val arrivals : t -> int
 (** Total packets ever admitted here (the arrival sequence counter);
     arrivals rejected by {!enqueue_capped} do not count. *)

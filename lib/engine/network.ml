@@ -459,6 +459,7 @@ let reroute t (p : Packet.t) suffix =
 
 let buffer_len t e = Buffer_q.length t.buffers.(e)
 let buffer_packets t e = Buffer_q.to_sorted_list t.buffers.(e)
+let fold_buffer f t e init = Buffer_q.fold_right f t.buffers.(e) init
 let in_flight t = t.in_flight
 let absorbed t = t.absorbed
 let injected_count t = t.injected

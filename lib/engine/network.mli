@@ -116,6 +116,11 @@ val buffer_len : t -> int -> int
 val buffer_packets : t -> int -> Packet.t list
 (** Contents of the buffer of edge [e], head of queue first. *)
 
+val fold_buffer : (Packet.t -> 'a -> 'a) -> t -> int -> 'a -> 'a
+(** [fold_buffer f t e init] folds [f] over the buffer of edge [e] from the
+    tail of the queue: [List.fold_right f (buffer_packets t e) init], but
+    without building the list under FIFO and LIFO. *)
+
 val in_flight : t -> int
 val absorbed : t -> int
 val injected_count : t -> int

@@ -47,9 +47,3 @@ val run :
 (** Runs up to [horizon] further steps.  [blowup] stops the run as unstable
     when any buffer ever exceeds that many packets.  [stop_when] is
     evaluated after each step. *)
-
-val run_steps : ?recorder:Recorder.t -> net:Network.t -> driver:driver -> int -> unit
-(** [run_steps ~net ~driver n] executes exactly [n] steps with none of
-    [run]'s per-step machinery (no blowup cap, stop predicate or outcome
-    value) — the batched fast path for steady-state workloads.  Query the
-    network afterwards for whatever statistics you need. *)

@@ -711,6 +711,394 @@ let scan_edge_rejects_malformed () =
     (Invalid_argument "Rate_check.scan_edge: multiplicity must be positive")
     (fun () -> ignore (RC.scan_edge ~rate:R.half [| (2, 0) |]))
 
+(* ------------------------------------------------------------------ *)
+(* One-pass scan vs the two-stage reference                             *)
+(* ------------------------------------------------------------------ *)
+
+let rate_check_reports_largest_excess () =
+  (* The witness is the interval of largest excess q*count - p*len on the
+     smallest violating edge, not the earliest violation: [3,3] already
+     breaks rate 1/2 (2 > 1), but [10,10] exceeds it by more. *)
+  match
+    RC.check_rate ~m:1 ~rate:R.half (log_of_times 0 [ 3; 3; 10; 10; 10 ])
+  with
+  | Ok () -> Alcotest.fail "both bursts violate rate 1/2"
+  | Error v ->
+      check_int "edge" 0 v.RC.edge;
+      check_int "t1" 10 v.RC.t1;
+      check_int "t2" 10 v.RC.t2;
+      check_int "count" 3 v.RC.count;
+      check_int "allowed" 1 v.RC.allowed
+
+(* The earlier two-stage implementation, kept verbatim as an oracle: the log
+   is first split into per-edge (time, multiplicity) lists, then each list
+   is scanned on its own. *)
+module Two_stage = struct
+  module Dyn = Aqt_util.Dynarray_compat
+
+  let bucketize ~m log =
+    let buckets = Array.init m (fun _ -> Dyn.create ()) in
+    let prev_time = ref min_int in
+    Array.iter
+      (fun (t, route) ->
+        if t < !prev_time then
+          invalid_arg "Rate_check: log not sorted by injection time";
+        if t < 1 then invalid_arg "Rate_check: injection before step 1";
+        prev_time := t;
+        Array.iter
+          (fun e ->
+            if e < 0 || e >= m then invalid_arg "Rate_check: edge out of range";
+            let b = buckets.(e) in
+            if (not (Dyn.is_empty b)) && fst (Dyn.last b) = t then begin
+              let _, c = Dyn.last b in
+              Dyn.set b (Dyn.length b - 1) (t, c + 1)
+            end
+            else Dyn.push b (t, 1))
+          route)
+      log;
+    buckets
+
+  let scan_events ~p ~q events =
+    let s = ref 0 in
+    let min_d = ref 0 and min_t = ref 0 and min_s = ref 0 in
+    let worst = ref min_int in
+    let witness = ref None in
+    Dyn.iter
+      (fun (t, c) ->
+        let candidate = (q * !s) - (p * (t - 1)) in
+        if candidate < !min_d then begin
+          min_d := candidate;
+          min_t := t - 1;
+          min_s := !s
+        end;
+        s := !s + c;
+        let d = (q * !s) - (p * t) in
+        let excess = d - !min_d in
+        if excess > !worst then begin
+          worst := excess;
+          witness := Some (!min_t + 1, t, !s - !min_s)
+        end)
+      events;
+    (!worst, !witness)
+
+  (* The first edge whose scan exceeds [threshold e], as a violation. *)
+  let first ~m ~rate ~threshold ~allowed log =
+    let p = R.num rate and q = R.den rate in
+    let buckets = bucketize ~m log in
+    let result = ref (Ok ()) in
+    (try
+       for e = 0 to m - 1 do
+         let worst, witness = scan_events ~p ~q buckets.(e) in
+         if worst > threshold q e then
+           match witness with
+           | Some (t1, t2, count) ->
+               result :=
+                 Error
+                   {
+                     RC.edge = e;
+                     t1;
+                     t2;
+                     count;
+                     allowed = allowed e (t2 - t1 + 1);
+                   };
+               raise Exit
+           | None -> assert false
+       done
+     with Exit -> ());
+    !result
+
+  let check_rate ~m ~rate log =
+    first ~m ~rate
+      ~threshold:(fun q _ -> q - 1)
+      ~allowed:(fun _ len -> R.ceil_mul rate len)
+      log
+
+  let check_leaky ~m ~b ~rate log =
+    if b < 0 then invalid_arg "Rate_check.check_leaky: negative burst";
+    first ~m ~rate
+      ~threshold:(fun q _ -> q * b)
+      ~allowed:(fun _ len -> R.floor_mul rate len + b)
+      log
+
+  let check_local ~rate ~sigmas log =
+    Array.iteri
+      (fun e s ->
+        if s < 0 then
+          invalid_arg
+            (Printf.sprintf "Rate_check.check_local: negative sigma on edge %d"
+               e))
+      sigmas;
+    first ~m:(Array.length sigmas) ~rate
+      ~threshold:(fun q e -> q * sigmas.(e))
+      ~allowed:(fun e len -> R.floor_mul rate len + sigmas.(e))
+      log
+
+  let burstiness ~m ~rate log =
+    let p = R.num rate and q = R.den rate in
+    let buckets = bucketize ~m log in
+    let worst = ref 0 in
+    for e = 0 to m - 1 do
+      let excess, _ = scan_events ~p ~q buckets.(e) in
+      if excess > q - 1 then begin
+        let need = (excess - (q - 1) + q - 1) / q in
+        if need > !worst then worst := need
+      end
+    done;
+    !worst
+
+  let scan_edge ~rate events =
+    let p = R.num rate and q = R.den rate in
+    let dyn = Dyn.create () in
+    let prev = ref min_int in
+    Array.iter
+      (fun ((t, c) as ev) ->
+        if t <= !prev then
+          invalid_arg "Rate_check.scan_edge: times must be strictly increasing";
+        if t < 1 then invalid_arg "Rate_check.scan_edge: event before step 1";
+        if c < 1 then
+          invalid_arg "Rate_check.scan_edge: multiplicity must be positive";
+        prev := t;
+        Dyn.push dyn ev)
+      events;
+    scan_events ~p ~q dyn
+
+  let check_windowed ~m ~w ~rate log =
+    if w < 1 then invalid_arg "Rate_check.check_windowed: w must be positive";
+    let allowed = R.floor_mul rate w in
+    let buckets = bucketize ~m log in
+    let result = ref (Ok ()) in
+    (try
+       for e = 0 to m - 1 do
+         let events = Dyn.to_array buckets.(e) in
+         let n = Array.length events in
+         let i = ref 0 and sum = ref 0 in
+         for j = 0 to n - 1 do
+           sum := !sum + snd events.(j);
+           let t2 = fst events.(j) in
+           while fst events.(!i) <= t2 - w do
+             sum := !sum - snd events.(!i);
+             incr i
+           done;
+           if !sum > allowed && !result = Ok () then
+             result :=
+               Error
+                 { RC.edge = e; t1 = t2 - w + 1; t2; count = !sum; allowed }
+         done;
+         if !result <> Ok () then raise Exit
+       done
+     with Exit -> ());
+    !result
+
+  (* All intervals against [allowed e len]; the first violation in (edge,
+     t1, t2) order. *)
+  let brute ~m ~allowed log =
+    let buckets = bucketize ~m log in
+    let result = ref (Ok ()) in
+    (try
+       for e = 0 to m - 1 do
+         let events = Dyn.to_array buckets.(e) in
+         let n = Array.length events in
+         for i = 0 to n - 1 do
+           let count = ref 0 in
+           for j = i to n - 1 do
+             let t1 = fst events.(i) and t2 = fst events.(j) in
+             count := !count + snd events.(j);
+             let allowed = allowed e (t2 - t1 + 1) in
+             if !count > allowed && !result = Ok () then
+               result := Error { RC.edge = e; t1; t2; count = !count; allowed }
+           done
+         done;
+         if !result <> Ok () then raise Exit
+       done
+     with Exit -> ());
+    !result
+end
+
+(* Random multi-edge logs: up to five edges, random simple routes (distinct
+   edges in random order), steps that repeat so edges see same-step
+   multiplicities.  With [malformed], one log in four is broken one of the
+   three ways the checkers reject: out of order, before step 1, or an edge
+   out of range. *)
+type log_case = {
+  m : int;
+  p : int;
+  q : int;
+  slack : int array;  (** per-edge sigma; its first entry doubles as b *)
+  log : (int * int array) array;
+}
+
+let gen_log_case ~malformed =
+  let open QCheck.Gen in
+  let* m = int_range 1 5 in
+  let* q = int_range 1 8 in
+  let* p = int_range 1 q in
+  let* slack = array_size (return m) (int_range 0 3) in
+  let* n = int_range 0 30 in
+  let* start = int_range 1 3 in
+  let* gaps = list_repeat n (frequency [ (3, return 0); (4, int_range 1 3) ]) in
+  let* routes =
+    list_repeat n
+      (let* len = int_range 1 m in
+       let+ perm = shuffle_l (List.init m Fun.id) in
+       Array.sub (Array.of_list perm) 0 len)
+  in
+  let times =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (t, acc) gap -> (t + gap, (t + gap) :: acc))
+            (start, []) gaps))
+  in
+  let log = Array.of_list (List.combine times routes) in
+  let* broken = if malformed then int_range 0 3 else return 1 in
+  let+ log =
+    if broken <> 0 || n = 0 then return log
+    else
+      let* i = int_range 0 (n - 1) in
+      let* how = int_range 0 3 in
+      let log = Array.copy log in
+      let t, route = log.(i) in
+      (match how with
+      | 0 -> log.(i) <- (t - 4, route)
+      | 1 -> log.(i) <- (0, route)
+      | 2 -> log.(i) <- (t, Array.append route [| m |])
+      | _ -> log.(i) <- (t, Array.append [| -1 |] route));
+      return log
+  in
+  { m; p; q; slack; log }
+
+let print_log_case c =
+  Printf.sprintf "m=%d rate=%d/%d slack=[%s] log=[%s]" c.m c.p c.q
+    (String.concat ";" (Array.to_list (Array.map string_of_int c.slack)))
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (t, r) ->
+               Printf.sprintf "%d:%s" t
+                 (String.concat "," (Array.to_list (Array.map string_of_int r))))
+             c.log)))
+
+let arb_log_case ~malformed =
+  QCheck.make ~print:print_log_case (gen_log_case ~malformed)
+
+(* A result or the message it was rejected with. *)
+let attempt f = try Ok (f ()) with Invalid_argument msg -> Error msg
+
+let prop_one_pass_equals_two_stage =
+  QCheck.Test.make ~count:500
+    ~name:"one-pass checkers return what the two-stage code returns"
+    (arb_log_case ~malformed:true) (fun c ->
+      let rate = R.make c.p c.q and m = c.m and log = c.log in
+      let b = c.slack.(0) and sigmas = c.slack in
+      let same name f g =
+        if attempt f <> attempt g then
+          QCheck.Test.fail_reportf "%s differs from the two-stage code" name
+      in
+      same "check_rate"
+        (fun () -> RC.check_rate ~m ~rate log)
+        (fun () -> Two_stage.check_rate ~m ~rate log);
+      same "check_leaky"
+        (fun () -> RC.check_leaky ~m ~b ~rate log)
+        (fun () -> Two_stage.check_leaky ~m ~b ~rate log);
+      same "check_local"
+        (fun () -> RC.check_local ~rate ~sigmas log)
+        (fun () -> Two_stage.check_local ~rate ~sigmas log);
+      same "check_windowed"
+        (fun () -> RC.check_windowed ~m ~w:(1 + b) ~rate log)
+        (fun () -> Two_stage.check_windowed ~m ~w:(1 + b) ~rate log);
+      same "check_rate_brute"
+        (fun () -> RC.check_rate_brute ~m ~rate log)
+        (fun () ->
+          Two_stage.brute ~m ~allowed:(fun _ len -> R.ceil_mul rate len) log);
+      same "check_local_brute"
+        (fun () -> RC.check_local_brute ~rate ~sigmas log)
+        (fun () ->
+          Two_stage.brute ~m
+            ~allowed:(fun e len -> R.floor_mul rate len + sigmas.(e))
+            log);
+      if attempt (fun () -> RC.burstiness ~m ~rate log)
+         <> attempt (fun () -> Two_stage.burstiness ~m ~rate log)
+      then QCheck.Test.fail_report "burstiness differs from the two-stage code";
+      true)
+
+let prop_scan_edge_equals_two_stage =
+  QCheck.Test.make ~count:500
+    ~name:"scan_edge returns what the two-stage scan returns"
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            pair (pair int int)
+              (array (pair int int)))
+        Gen.(
+          pair
+            (let* q = int_range 1 8 in
+             let+ p = int_range 1 q in
+             (p, q))
+            (array_size (int_range 0 12)
+               (pair (int_range (-1) 30) (int_range 0 4)))))
+    (fun ((p, q), events) ->
+      (* Mostly well-formed: sort by time, then keep any duplicate times,
+         zero multiplicities and pre-step-1 times as they fall. *)
+      let events = Array.copy events in
+      Array.sort compare events;
+      let rate = R.make p q in
+      attempt (fun () -> RC.scan_edge ~rate events)
+      = attempt (fun () -> Two_stage.scan_edge ~rate events))
+
+(* The generated logs reach every outcome the properties compare: each of
+   the three rejections, legal logs, and logs where two or more edges break
+   the rate (so reporting the wrong edge shows). *)
+let log_cases_are_not_vacuous () =
+  let st = Random.State.make [| 18 |] in
+  let rejected = Hashtbl.create 3 and legal = ref 0 and multi = ref 0 in
+  for _ = 1 to 500 do
+    let c = gen_log_case ~malformed:true st in
+    let rate = R.make c.p c.q in
+    match attempt (fun () -> Two_stage.bucketize ~m:c.m c.log) with
+    | Error msg -> Hashtbl.replace rejected msg ()
+    | Ok buckets ->
+        let over =
+          Array.fold_left
+            (fun n events ->
+              let excess, _ = Two_stage.scan_events ~p:c.p ~q:c.q events in
+              if excess > c.q - 1 then n + 1 else n)
+            0 buckets
+        in
+        if over = 0 && RC.check_rate ~m:c.m ~rate c.log = Ok () then
+          incr legal;
+        if over >= 2 then incr multi
+  done;
+  check_int "all three rejections" 3 (Hashtbl.length rejected);
+  check_bool "legal logs" true (!legal > 20);
+  check_bool "logs with two violating edges" true (!multi > 20)
+
+let prop_verdicts_match_brute =
+  QCheck.Test.make ~count:500 ~name:"one-pass verdicts match the brute oracle"
+    (arb_log_case ~malformed:false) (fun c ->
+      let rate = R.make c.p c.q and m = c.m and log = c.log in
+      let b = c.slack.(0) and sigmas = c.slack in
+      let agree fast brute = Result.is_ok fast = Result.is_ok brute in
+      agree (RC.check_rate ~m ~rate log) (RC.check_rate_brute ~m ~rate log)
+      && agree
+           (RC.check_local ~rate ~sigmas log)
+           (RC.check_local_brute ~rate ~sigmas log)
+      && agree
+           (RC.check_leaky ~m ~b ~rate log)
+           (RC.check_local_brute ~rate ~sigmas:(Array.make m b) log))
+
+let prop_burstiness_is_minimal =
+  QCheck.Test.make ~count:500
+    ~name:"burstiness is the least slack over ceil(r*len)"
+    (arb_log_case ~malformed:false) (fun c ->
+      let rate = R.make c.p c.q and m = c.m and log = c.log in
+      let b = RC.burstiness ~m ~rate log in
+      let passes b =
+        Two_stage.brute ~m ~allowed:(fun _ len -> R.ceil_mul rate len + b) log
+        = Ok ()
+      in
+      passes b && (b = 0 || not (passes (b - 1))))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "aqt_adversary"
@@ -749,6 +1137,14 @@ let () =
             scan_edge_agrees_with_brute;
           Alcotest.test_case "scan_edge rejects malformed" `Quick
             scan_edge_rejects_malformed;
+          Alcotest.test_case "reports the largest excess" `Quick
+            rate_check_reports_largest_excess;
+          Alcotest.test_case "generated logs not vacuous" `Quick
+            log_cases_are_not_vacuous;
+          q prop_one_pass_equals_two_stage;
+          q prop_scan_edge_equals_two_stage;
+          q prop_verdicts_match_brute;
+          q prop_burstiness_is_minimal;
           q prop_fast_equals_brute;
           q prop_windowed_equals_brute;
           q prop_flows_are_rate_legal;
