@@ -494,8 +494,10 @@ let replay_cmd =
       try Aqt.Gadget.cyclic ~n ~m () with Invalid_argument msg -> bad "%s" msg
     in
     let results =
-      Aqt.Baselines.replay_against ~initial:log.initial ~graph:gadget.graph
-        ~rate ~log:log.log ~policies:[ policy ] ~settle ()
+      try
+        Aqt.Baselines.replay_against ~initial:log.initial ~graph:gadget.graph
+          ~rate ~log:log.log ~policies:[ policy ] ~settle ()
+      with Invalid_argument msg -> bad "%s" msg
     in
     List.iter
       (fun (r : Aqt.Baselines.replay_result) ->

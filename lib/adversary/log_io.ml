@@ -59,6 +59,10 @@ let of_string s =
                    failwith
                      (Printf.sprintf "Log_io: bad time on line %d" (lineno + 1))
                | Some time ->
+                   if time < 1 then
+                     failwith
+                       (Printf.sprintf "Log_io: injection before step 1 on line %d"
+                          (lineno + 1));
                    if time < !prev_time then
                      failwith "Log_io: injection times not sorted";
                    prev_time := time;

@@ -13,8 +13,9 @@
     init <edge> <edge> ...
     <time> <edge> <edge> ...
     v}
-    Injection lines must be sorted by time; [meta] and [init] lines come
-    first.  Metadata is free-form; the CLI stores the gadget parameters
+    Injection lines must be sorted by time, from step 1 on (time 0 is the
+    initial configuration, written as [init] lines); [meta] and [init]
+    lines come first.  Metadata is free-form; the CLI stores the gadget parameters
     ([n], [m]) there so `replay' can rebuild the graph. *)
 
 type t = {
@@ -29,8 +30,8 @@ val save : string -> t -> unit
 (** Writes the log to a file (truncates). *)
 
 val load : string -> t
-(** @raise Failure on malformed input (bad numbers, unsorted times,
-    empty routes). *)
+(** @raise Failure on malformed input (bad numbers, unsorted times, times
+    below 1, empty routes). *)
 
 val of_network : ?meta:(string * string) list -> Aqt_engine.Network.t -> t
 (** Capture a run's initial routes and injection log (the network must have

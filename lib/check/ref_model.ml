@@ -136,14 +136,12 @@ let admit t (p : P.t) e =
     else drop_packet t p e ~displaced:false
   end
 
-let fresh_packet t ~initial ~tag route : P.t =
+let fresh_packet t ~tag route : P.t =
   let id = t.next_id in
   t.next_id <- id + 1;
   {
     id;
     injected_at = t.now;
-    initial;
-    exogenous = false;
     tag;
     route;
     hop = 0;
@@ -159,7 +157,7 @@ let place_initial t ?(tag = "init") route =
     invalid_arg "Ref_model.place_initial: the system already started";
   check_route t route;
   let route = Array.copy route in
-  let p = fresh_packet t ~initial:true ~tag route in
+  let p = fresh_packet t ~tag route in
   t.initials <- t.initials + 1;
   t.in_flight <- t.in_flight + 1;
   mark_route_use t route;
@@ -176,7 +174,7 @@ let absorb t (p : P.t) =
 let inject t (inj : Network.injection) =
   check_route t inj.route;
   let route = Array.copy inj.route in
-  let p = fresh_packet t ~initial:false ~tag:inj.tag route in
+  let p = fresh_packet t ~tag:inj.tag route in
   t.injected <- t.injected + 1;
   t.in_flight <- t.in_flight + 1;
   mark_route_use t route;

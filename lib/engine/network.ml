@@ -71,11 +71,13 @@ type t = {
   mutable max_dwell : int;
   mutable latency_sum : int;
   mutable latency_max : int;
-  (* (injected_at, packet id, initial?, final route) of absorbed packets, in
-     absorption order; live packets are appended on demand by
-     [injection_log]/[initial_final_routes], which sort by (time, id) so
-     same-step injections keep their original order. *)
-  absorbed_log : (int * int * bool * int array) Dyn.t option;
+  (* With [log_injections], indexed by packet id and written once, by
+     [fresh_packet]: the step the packet entered (0 for the initial
+     configuration, -1 for exogenous traffic, which the log never returns)
+     and its current route, which [reroute] overwrites. *)
+  logging : bool;
+  log_at : int Dyn.t;
+  log_route : int array Dyn.t;
   last_use : int array; (* per edge: latest injection whose route used it *)
 }
 
@@ -134,7 +136,9 @@ let create ?(log_injections = false) ?(tie_order = Transit_first) ?tracer
     max_dwell = 0;
     latency_sum = 0;
     latency_max = 0;
-    absorbed_log = (if log_injections then Some (Dyn.create ()) else None);
+    logging = log_injections;
+    log_at = Dyn.create ();
+    log_route = Dyn.create ();
     last_use = Array.make m min_int;
   }
 
@@ -178,8 +182,8 @@ let enqueue_at t (p : Packet.t) e =
 (* The victim [p] is out of the system: it was either never buffered (an
    overflow arrival) or just evicted from its buffer (drop-head); the caller
    has already settled [occupancy].  Like [absorb] it closes the packet's
-   life — log entry, tracer event, recycling — but books it under [dropped],
-   keeping created = absorbed + in flight + dropped. *)
+   life — tracer event, recycling — but books it under [dropped], keeping
+   created = absorbed + in flight + dropped. *)
 let drop_packet t (p : Packet.t) e ~displaced =
   t.dropped <- t.dropped + 1;
   t.dropped_edge.(e) <- t.dropped_edge.(e) + 1;
@@ -188,10 +192,6 @@ let drop_packet t (p : Packet.t) e ~displaced =
   (match t.tracer with
   | None -> ()
   | Some f -> f (Trace.Dropped { t = t.now; packet = p.id; edge = e; displaced }));
-  (match t.absorbed_log with
-  | Some log when not p.exogenous ->
-      Dyn.push log (p.injected_at, p.id, p.initial, p.route)
-  | _ -> ());
   if t.recycle then Dyn.push t.pool p
 
 (* Arrival of [p] (already counted in [in_flight]) at the buffer of [e]
@@ -238,16 +238,19 @@ let admit t (p : Packet.t) e =
   end
 
 (* [route] must already be canonical (interned) or freshly allocated; no
-   defensive copy happens here. *)
-let fresh_packet t ~initial ~exogenous ~tag route : Packet.t =
+   defensive copy happens here.  This is the only place a log entry is
+   created; [reroute] only overwrites its route. *)
+let fresh_packet t ~exogenous ~tag route : Packet.t =
   let id = t.next_id in
   t.next_id <- id + 1;
+  if t.logging then begin
+    Dyn.push t.log_at (if exogenous then -1 else t.now);
+    Dyn.push t.log_route route
+  end;
   if t.recycle && not (Dyn.is_empty t.pool) then begin
     let p = Dyn.pop t.pool in
     p.id <- id;
     p.injected_at <- t.now;
-    p.initial <- initial;
-    p.exogenous <- exogenous;
     p.tag <- tag;
     p.route <- route;
     p.hop <- 0;
@@ -259,8 +262,6 @@ let fresh_packet t ~initial ~exogenous ~tag route : Packet.t =
     {
       id;
       injected_at = t.now;
-      initial;
-      exogenous;
       tag;
       route;
       hop = 0;
@@ -277,7 +278,7 @@ let place_initial t ?(tag = "init") route =
   if t.now <> 0 then
     invalid_arg "Network.place_initial: the system already started";
   let route = intern_route t route in
-  let p = fresh_packet t ~initial:true ~exogenous:false ~tag route in
+  let p = fresh_packet t ~exogenous:false ~tag route in
   t.initials <- t.initials + 1;
   t.in_flight <- t.in_flight + 1;
   mark_route_use t route;
@@ -305,15 +306,11 @@ let absorb t (p : Packet.t) =
   (match t.tracer with
   | None -> ()
   | Some f -> f (Trace.Absorbed { t = t.now; packet = p.id; latency }));
-  (match t.absorbed_log with
-  | Some log when not p.exogenous ->
-      Dyn.push log (p.injected_at, p.id, p.initial, p.route)
-  | _ -> ());
   if t.recycle then Dyn.push t.pool p
 
 let inject t ~exogenous (inj : injection) =
   let route = intern_route t inj.route in
-  let p = fresh_packet t ~initial:false ~exogenous ~tag:inj.tag route in
+  let p = fresh_packet t ~exogenous ~tag:inj.tag route in
   t.injected <- t.injected + 1;
   t.in_flight <- t.in_flight + 1;
   if not exogenous then mark_route_use t route;
@@ -448,6 +445,7 @@ let reroute t (p : Packet.t) suffix =
     end
   in
   p.route <- new_route;
+  if t.logging then Dyn.set t.log_route p.id new_route;
   p.reroutes <- p.reroutes + 1;
   t.reroutes <- t.reroutes + 1;
   match t.tracer with
@@ -512,33 +510,25 @@ let delivered_latency_mean t =
   if t.absorbed = 0 then 0.0
   else float_of_int t.latency_sum /. float_of_int t.absorbed
 
-let full_log t ~want_initial =
-  match t.absorbed_log with
-  | None ->
-      invalid_arg "Network.injection_log: created without ~log_injections"
-  | Some log ->
-      let selected = Dyn.create () in
-      Dyn.iter
-        (fun (time, id, initial, route) ->
-          if initial = want_initial then Dyn.push selected (time, id, route))
-        log;
-      iter_buffered
-        (fun p ->
-          if p.initial = want_initial && not p.exogenous then
-            Dyn.push selected (p.injected_at, p.id, p.route))
-        t;
-      let all = Dyn.to_array selected in
-      Array.sort
-        (fun (t1, id1, _) (t2, id2, _) ->
-          if t1 <> t2 then Int.compare t1 t2 else Int.compare id1 id2)
-        all;
-      all
+(* Ids grow with time, so a walk in id order yields the entries sorted by
+   (time, id): count the kept entries, then fill them in that order. *)
+let log_where t keep =
+  if not t.logging then
+    invalid_arg "Network.injection_log: created without ~log_injections";
+  let n =
+    Dyn.fold_left (fun n time -> if keep time then n + 1 else n) 0 t.log_at
+  in
+  let id = ref 0 in
+  Array.init n (fun _ ->
+      while not (keep (Dyn.get t.log_at !id)) do
+        incr id
+      done;
+      let entry = (Dyn.get t.log_at !id, Dyn.get t.log_route !id) in
+      incr id;
+      entry)
 
-let injection_log t =
-  Array.map (fun (time, _, route) -> (time, route)) (full_log t ~want_initial:false)
-
-let initial_final_routes t =
-  Array.map (fun (_, _, route) -> route) (full_log t ~want_initial:true)
+let injection_log t = log_where t (fun time -> time >= 1)
+let initial_final_routes t = Array.map snd (log_where t (fun time -> time = 0))
 
 let reroute_count t = t.reroutes
 let last_injection_on t e = t.last_use.(e)

@@ -41,8 +41,10 @@ val create :
   unit ->
   t
 (** [log_injections] (default false) retains [(time, final route)] for every
-    adversary-injected packet, including absorbed ones — needed by the rate
-    checker, costs memory proportional to the injection count.
+    packet, including absorbed and dropped ones — needed by the rate
+    checker.  It costs two words per packet (exogenous ones included),
+    written once at injection and indexed by packet id; {!reroute}
+    overwrites the route of that id.
     Every injected route must be a simple directed path; with interning
     the check runs once per {e distinct} route, not once per injection.
     [tracer] receives every packet event (see {!Trace}); omit it for zero
@@ -183,13 +185,15 @@ val delivered_latency_mean : t -> float
 
 val injection_log : t -> (int * int array) array
 (** [(injection time, final effective route)] for every adversary-injected
-    packet so far (absorbed or in flight), in injection order.
+    packet so far (absorbed, dropped or in flight), in injection order.
+    One walk over the log in id order: ids grow with time, so nothing is
+    merged or sorted.
     @raise Invalid_argument if the network was created without
     [log_injections]. *)
 
 val initial_final_routes : t -> int array array
 (** The final effective routes of the initial-configuration packets, in
-    placement order — together with {!injection_log} this is everything the
+    placement order (the log entries at time 0) — together with {!injection_log} this is everything the
     static adversary A' of Lemma 3.3 needs to replay a run that rerouted.
     @raise Invalid_argument without [log_injections]. *)
 

@@ -1,11 +1,9 @@
 (* Every field is mutable so the network's packet pool can reinitialise a
    recycled record in place; outside [Network.fresh_packet] the identity
-   fields (id, injected_at, initial, exogenous, tag) behave as immutable. *)
+   fields (id, injected_at, tag) behave as immutable. *)
 type t = {
   mutable id : int;
   mutable injected_at : int;
-  mutable initial : bool;
-  mutable exogenous : bool;
   mutable tag : string;
   mutable route : int array;
   mutable hop : int;

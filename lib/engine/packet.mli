@@ -13,22 +13,18 @@
     ({!Route_intern}) shared with every packet whose route has the same
     contents — never mutate its elements.  Route rewrites go through
     [Network.reroute], which installs the canonical array of the rewritten
-    route.  When the owning network recycles packets
+    route and records it in the network's injection log under the packet's
+    [id].  Whether a packet was placed initially, injected by the adversary
+    or sent as exogenous traffic is known to that log, not to the record.
+    When the owning network recycles packets
     ([Network.create ~recycle:true]), a record may be reinitialised for a
     new packet after absorption, so do not hold on to absorbed packets —
     every field is mutable only to make that in-place reinitialisation
     possible. *)
 
 type t = {
-  mutable id : int;
-  mutable injected_at : int;
-  mutable initial : bool;
-      (** True for packets placed by an initial configuration rather than
-          injected by the adversary (Section 4's S-initial-configurations). *)
-  mutable exogenous : bool;
-      (** True for background cross-traffic injected outside the adversary's
-          budget (robustness experiments): excluded from rate accounting,
-          Def 3.2 edge-use tracking and the injection log. *)
+  mutable id : int;  (** Unique per network; grows with injection time. *)
+  mutable injected_at : int;  (** 0 for the initial configuration. *)
   mutable tag : string;
       (** Adversary annotation ("old", "short", ...); traces only. *)
   mutable route : int array;

@@ -12,7 +12,7 @@
 
    Layout
    ------
-   - Packet slab: parallel arrays [pid]/[inj_at]/[pkey]/[pseq]/[pflag] of
+   - Packet slab: parallel arrays [pid]/[inj_at]/[pkey]/[pseq] of
      identity fields, all indexed by slot; the positional fields (hop,
      route slice, buffered-at) live inline in the buffer records — see
      [stride] below.  Slots of absorbed or dropped packets go on a free
@@ -200,8 +200,6 @@ let pool_shutdown pool =
 (* The engine                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let flag_initial = 1
-
 (* A buffered (or in-transit) packet is a [stride]-word record living
    inline in a buffer slice or the pending array:
 
@@ -210,7 +208,7 @@ let flag_initial = 1
    Hot positional state travels WITH the packet through sequential memory —
    forwarding is a 5-word copy between slices that the hardware prefetcher
    streams — while the identity fields nobody touches per forward (logical
-   id, injection time, flags, policy key/seq) stay in slot-indexed slab
+   id, injection time, policy key/seq) stay in slot-indexed slab
    arrays, paid for only at absorb/drop/enqueue-key time.  An earlier
    all-slab layout cost ~4 dependent cache misses per delivered packet at
    10⁶ edges (uncorrelated recycled slot ids); inlining took the 10⁶-edge
@@ -264,7 +262,6 @@ type t = {
   mutable inj_at : int array;
   mutable pkey : int array; (* policy key, fixed at enqueue (By_key) *)
   mutable pseq : int array; (* per-edge arrival seq, fixed at enqueue *)
-  mutable pflag : int array;
   mutable free : int array; (* stack of recycled slots *)
   mutable n_free : int;
   mutable hi_slot : int; (* slots [0, hi_slot) have ever been used *)
@@ -315,9 +312,15 @@ type t = {
   mutable latency_sum : int;
   mutable latency_max : int;
   last_use : int array;
-  (* (injected_at, id, initial?, r_off, r_len) of closed packets.  Offsets
-     are stable snapshots: the route arena is append-only. *)
-  log : (int * int * bool * int * int) Dyn.t option;
+  (* With [log_injections], indexed by packet id and written once, by
+     [fresh_rec]: the step the packet entered (0 for the initial
+     configuration) and the arena slice of its current route, which
+     [reroute_where] overwrites.  Slices stay valid because the route
+     arena is append-only. *)
+  logging : bool;
+  log_at : int Dyn.t;
+  log_off : int Dyn.t;
+  log_len : int Dyn.t;
   (* Parallelism. *)
   ndom : int;
   pool : pool option;
@@ -333,7 +336,6 @@ type t = {
   d_lat_sum : int array;
   d_lat_max : int array;
   d_free : int Dyn.t array;
-  d_log : (int * int * bool * int * int) Dyn.t array;
   (* (position, edge) streams, position-sorted by construction. *)
   d_still_pos : int Dyn.t array;
   d_still_edge : int Dyn.t array;
@@ -366,8 +368,6 @@ let create ?(log_injections = false) ?(tie_order = Network.Transit_first)
     {
       id = 0;
       injected_at = 0;
-      initial = false;
-      exogenous = false;
       tag = "";
       route = [||];
       hop = 0;
@@ -398,7 +398,6 @@ let create ?(log_injections = false) ?(tie_order = Network.Transit_first)
     inj_at = [||];
     pkey = [||];
     pseq = [||];
-    pflag = [||];
     free = [||];
     n_free = 0;
     hi_slot = 0;
@@ -432,7 +431,10 @@ let create ?(log_injections = false) ?(tie_order = Network.Transit_first)
     latency_sum = 0;
     latency_max = 0;
     last_use = Array.make m min_int;
-    log = (if log_injections then Some (Dyn.create ()) else None);
+    logging = log_injections;
+    log_at = Dyn.create ();
+    log_off = Dyn.create ();
+    log_len = Dyn.create ();
     ndom;
     pool = (if ndom > 1 then Some (pool_create ndom) else None);
     block = (m + ndom - 1) / ndom;
@@ -446,7 +448,6 @@ let create ?(log_injections = false) ?(tie_order = Network.Transit_first)
     d_lat_sum = Array.make ndom 0;
     d_lat_max = Array.make ndom 0;
     d_free = Array.init ndom (fun _ -> Dyn.create ());
-    d_log = Array.init ndom (fun _ -> Dyn.create ());
     d_still_pos = Array.init ndom (fun _ -> Dyn.create ());
     d_still_edge = Array.init ndom (fun _ -> Dyn.create ());
     d_act_pos = Array.init ndom (fun _ -> Dyn.create ());
@@ -471,7 +472,6 @@ let ensure_slab t =
     t.inj_at <- grow_int_array t.inj_at n;
     t.pkey <- grow_int_array t.pkey n;
     t.pseq <- grow_int_array t.pseq n;
-    t.pflag <- grow_int_array t.pflag n;
     t.slots <- Array.length t.pid
   end
 
@@ -715,7 +715,6 @@ let push t d eb src spos =
     Array.blit t.rarena (Array.unsafe_get src (spos + o_off)) route 0 len;
     p.Packet.id <- Array.unsafe_get t.pid s;
     p.Packet.injected_at <- Array.unsafe_get t.inj_at s;
-    p.Packet.initial <- Array.unsafe_get t.pflag s land flag_initial <> 0;
     p.Packet.route <- route;
     p.Packet.hop <- Array.unsafe_get src (spos + o_hop);
     p.Packet.buffered_at <- t.now;
@@ -746,29 +745,11 @@ let post_enqueue_seq t e eb =
   if len > Array.unsafe_get em (eb + eo_maxq) then
     Array.unsafe_set em (eb + eo_maxq) len
 
-(* The route slice of a closed packet comes from its record ([off]/[len]);
-   identity fields still live in the slab. *)
-let log_closed t d (s : int) off len =
-  match t.log with
-  | Some _ when Array.unsafe_get t.pflag s land 2 = 0 ->
-      (* bit 1 = exogenous; [Soa.step] has no exogenous injections, so the
-         bit is never set — kept for slab-layout parity with [Packet]. *)
-      Dyn.push t.d_log.(d)
-        ( Array.unsafe_get t.inj_at s,
-          Array.unsafe_get t.pid s,
-          Array.unsafe_get t.pflag s land flag_initial <> 0,
-          off,
-          len )
-  | _ -> ()
-
 let drop_packet_d t d src spos e ~displaced =
   let s = Array.unsafe_get src (spos + o_slot) in
   t.d_dropped.(d) <- t.d_dropped.(d) + 1;
   t.dropped_edge.(e) <- t.dropped_edge.(e) + 1;
   if displaced then t.d_displaced.(d) <- t.d_displaced.(d) + 1;
-  log_closed t d s
-    (Array.unsafe_get src (spos + o_off))
-    (Array.unsafe_get src (spos + o_len));
   Dyn.push t.d_free.(d) s
 
 (* Domain-local admission of the record at [src.(spos ..)]: every branch
@@ -824,8 +805,6 @@ let admit_seq t src spos e =
   end
   else begin
   let s = Array.unsafe_get src (spos + o_slot) in
-  let r_off = Array.unsafe_get src (spos + o_off)
-  and r_len = Array.unsafe_get src (spos + o_len) in
   if t.shared_total <> max_int then begin
     let len = t.emeta.(eb + eo_len) in
     if
@@ -839,7 +818,6 @@ let admit_seq t src spos e =
       t.dropped <- t.dropped + 1;
       t.dropped_edge.(e) <- t.dropped_edge.(e) + 1;
       t.in_flight <- t.in_flight - 1;
-      log_closed t 0 s r_off r_len;
       free_slot t s
     end
   end
@@ -856,9 +834,6 @@ let admit_seq t src spos e =
     t.dropped_edge.(e) <- t.dropped_edge.(e) + 1;
     t.displaced <- t.displaced + 1;
     t.in_flight <- t.in_flight - 1;
-    log_closed t 0 vs
-      (Array.unsafe_get vic o_off)
-      (Array.unsafe_get vic o_len);
     free_slot t vs;
     push t d eb src spos;
     post_enqueue_seq t e eb
@@ -867,7 +842,6 @@ let admit_seq t src spos e =
     t.dropped <- t.dropped + 1;
     t.dropped_edge.(e) <- t.dropped_edge.(e) + 1;
     t.in_flight <- t.in_flight - 1;
-    log_closed t 0 s r_off r_len;
     free_slot t s
   end
   end
@@ -880,22 +854,15 @@ let absorb_seq t src spos =
   let latency = t.now - Array.unsafe_get t.inj_at s in
   t.latency_sum <- t.latency_sum + latency;
   if latency > t.latency_max then t.latency_max <- latency;
-  log_closed t 0 s
-    (Array.unsafe_get src (spos + o_off))
-    (Array.unsafe_get src (spos + o_len));
   free_slot t s
 
-(* The per-domain log/free streams written through domain 0 in the
-   sequential paths above are folded into the global structures here, so
+(* The per-domain free streams written through domain 0 in the
+   sequential paths above are folded into the global free stack here, so
    sequential and parallel steps share one commit point. *)
 let commit_domain_streams t =
   for d = 0 to t.ndom - 1 do
     Dyn.iter (fun s -> free_slot t s) t.d_free.(d);
-    Dyn.clear t.d_free.(d);
-    (match t.log with
-    | Some log -> Dyn.iter (fun entry -> Dyn.push log entry) t.d_log.(d)
-    | None -> ());
-    Dyn.clear t.d_log.(d)
+    Dyn.clear t.d_free.(d)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -903,13 +870,18 @@ let commit_domain_streams t =
 (* ------------------------------------------------------------------ *)
 
 (* Allocate a slot for a new packet and write its record into
-   [dst.(dpos ..)]. *)
-let fresh_rec t ~initial off len dst dpos =
+   [dst.(dpos ..)].  This is the only place a log entry is created;
+   [reroute_where] only overwrites its slice. *)
+let fresh_rec t off len dst dpos =
   let s = alloc_slot t in
   Array.unsafe_set t.pid s t.next_id;
   t.next_id <- t.next_id + 1;
   Array.unsafe_set t.inj_at s t.now;
-  Array.unsafe_set t.pflag s (if initial then flag_initial else 0);
+  if t.logging then begin
+    Dyn.push t.log_at t.now;
+    Dyn.push t.log_off off;
+    Dyn.push t.log_len len
+  end;
   Array.unsafe_set dst (dpos + o_slot) s;
   Array.unsafe_set dst (dpos + o_hop) 0;
   Array.unsafe_set dst (dpos + o_off) off;
@@ -929,7 +901,7 @@ let place_initial ?tag:_ t route =
   if len = 0 then invalid_arg "Soa.place_initial: empty route";
   let off = intern_route t route in
   let fresh = t.scratch_rec.(0) in
-  let s = fresh_rec t ~initial:true off len fresh stride in
+  let s = fresh_rec t off len fresh stride in
   t.initials <- t.initials + 1;
   t.in_flight <- t.in_flight + 1;
   mark_route_use t off len;
@@ -943,7 +915,7 @@ let inject t (inj : injection) =
   if len = 0 then invalid_arg "Soa.inject: empty route";
   let off = intern_route t inj.route in
   let fresh = t.scratch_rec.(0) in
-  ignore (fresh_rec t ~initial:false off len fresh stride);
+  ignore (fresh_rec t off len fresh stride);
   t.injected <- t.injected + 1;
   t.in_flight <- t.in_flight + 1;
   mark_route_use t off len;
@@ -1229,9 +1201,6 @@ let deliver_par t n_old d =
           let latency = t.now - Array.unsafe_get t.inj_at s in
           t.d_lat_sum.(d) <- t.d_lat_sum.(d) + latency;
           if latency > t.d_lat_max.(d) then t.d_lat_max.(d) <- latency;
-          log_closed t d s
-            (Array.unsafe_get t.pending (w + o_off))
-            (Array.unsafe_get t.pending (w + o_len));
           Dyn.push t.d_free.(d) s
         end
         else begin
@@ -1405,6 +1374,10 @@ let reroute_where t pred suffix =
         let off = append_route t route in
         Array.unsafe_set arena (w + o_off) off;
         Array.unsafe_set arena (w + o_len) nlen;
+        if t.logging then begin
+          Dyn.set t.log_off id off;
+          Dyn.set t.log_len id nlen
+        end;
         t.reroutes <- t.reroutes + 1
       end)
     t
@@ -1521,36 +1494,13 @@ let buffer_packets t e =
     else List.init len (fun j -> view_of_rec t arena (nth j))
   end
 
-let full_log t ~want_initial =
-  match t.log with
-  | None -> invalid_arg "Soa.injection_log: created without ~log_injections"
-  | Some log ->
-      let selected = Dyn.create () in
-      Dyn.iter
-        (fun (time, id, initial, off, len) ->
-          if initial = want_initial then
-            Dyn.push selected (time, id, Array.sub t.rarena off len))
-        log;
-      iter_buffered_recs
-        (fun arena w ->
-          let s = Array.unsafe_get arena (w + o_slot) in
-          if t.pflag.(s) land flag_initial <> 0 = want_initial then
-            Dyn.push selected
-              ( t.inj_at.(s),
-                t.pid.(s),
-                Array.sub t.rarena
-                  (Array.unsafe_get arena (w + o_off))
-                  (Array.unsafe_get arena (w + o_len)) ))
-        t;
-      let all = Dyn.to_array selected in
-      Array.sort
-        (fun (t1, id1, _) (t2, id2, _) ->
-          if t1 <> t2 then Int.compare t1 t2 else Int.compare id1 id2)
-        all;
-      all
-
+(* Ids grow with time, so a walk in id order yields the entries sorted by
+   (time, id).  The initial packets hold ids [0, initials) and there is no
+   exogenous traffic, so the injections are every id from [initials] on. *)
 let injection_log t =
-  Array.map (fun (time, _, route) -> (time, route)) (full_log t ~want_initial:false)
-
-let initial_final_routes t =
-  Array.map (fun (_, _, route) -> route) (full_log t ~want_initial:true)
+  if not t.logging then
+    invalid_arg "Soa.injection_log: created without ~log_injections";
+  Array.init (Dyn.length t.log_at - t.initials) (fun i ->
+      let id = t.initials + i in
+      ( Dyn.get t.log_at id,
+        Array.sub t.rarena (Dyn.get t.log_off id) (Dyn.get t.log_len id) ))

@@ -116,11 +116,10 @@ val capacity : t -> Aqt_capacity.Model.t
 val speedup : t -> int
 
 val injection_log : t -> (int * int array) array
-(** As {!Network.injection_log}.
-    @raise Invalid_argument without [log_injections]. *)
-
-val initial_final_routes : t -> int array array
-(** As {!Network.initial_final_routes}.
+(** As {!Network.injection_log}.  Entries are written once, at injection,
+    as arena slices indexed by packet id; {!reroute_where} overwrites the
+    slice of every packet it rewrites, and the routes are copied out of
+    the arena on each call.
     @raise Invalid_argument without [log_injections]. *)
 
 (** {1 Introspection for tests} *)

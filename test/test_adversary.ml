@@ -562,6 +562,8 @@ let log_io_rejects_malformed () =
   check_bool "unsorted" true (fails "5 0\n3 0\n");
   check_bool "empty route" true (fails "init\n");
   check_bool "bad time" true (fails "abc 0\n");
+  check_bool "time 0" true (fails "0 1 2\n");
+  check_bool "negative time" true (fails "-3 0\n");
   check_bool "late init" true (fails "3 0\ninit 1\n");
   check_bool "late meta" true (fails "init 0\nmeta a b\n");
   check_bool "comments and blanks ok" false (fails "# hi\n\ninit 0\n1 0\n")

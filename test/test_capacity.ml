@@ -75,8 +75,6 @@ let packet id : Packet.t =
   {
     id;
     injected_at = 0;
-    initial = false;
-    exogenous = false;
     tag = "t";
     route = [| 0 |];
     hop = 0;

@@ -81,8 +81,10 @@ let tie_order_modes () =
 
 let initial_configuration () =
   let net, l = line_net 2 in
-  let p = N.place_initial net l.edges in
-  check_bool "flagged initial" true p.Packet.initial;
+  ignore (N.place_initial net l.edges);
+  check_bool "logged as initial" true
+    (N.initial_final_routes net = [| l.edges |]);
+  check_int "not logged as an injection" 0 (Array.length (N.injection_log net));
   check_int "initial count" 1 (N.initial_count net);
   check_int "not an injection" 0 (N.injected_count net);
   check_int "s_initial" 1 (N.s_initial net);
@@ -346,6 +348,108 @@ let prop_reroute_preserves_conservation =
       N.iter_buffered (fun _ -> incr buffered) net;
       N.injected_count net = N.absorbed net + !buffered)
 
+(* qcheck: after every step the injection log is exactly what a caller
+   keeps by hand — an entry per placement and per adversary injection,
+   none for exogenous traffic, the route overwritten by packet id on every
+   reroute (initial packets included) — whether packets are absorbed,
+   dropped or recycled.  Ids are handed out in placement order, then per
+   step to the adversary's injections and then to the exogenous ones. *)
+let prop_log_follows_injections_and_reroutes =
+  QCheck.Test.make ~name:"injection log = hand-kept log, reroutes included"
+    ~count:200
+    (QCheck.int_range 0 100_000)
+    (fun seed ->
+      let prng = Aqt_util.Prng.create seed in
+      let int n = Aqt_util.Prng.int prng n in
+      let k = 2 + int 5 in
+      let ring = Aqt_util.Prng.bool prng in
+      let graph, edges =
+        if ring then
+          let r = B.ring k in
+          (r.graph, r.edges)
+        else
+          let l = B.line k in
+          (l.graph, l.edges)
+      in
+      let index e =
+        let rec go i = if edges.(i) = e then i else go (i + 1) in
+        go 0
+      in
+      (* [n] edges of the line or ring from index [i] on. *)
+      let path i n = Array.init n (fun j -> edges.((i + j) mod k)) in
+      let random_route () =
+        let i = int k in
+        path i (1 + int (if ring then k else k - i))
+      in
+      let capacity =
+        match int 3 with
+        | 0 -> Aqt_capacity.Model.unbounded
+        | 1 -> Aqt_capacity.Model.uniform (1 + int 3)
+        | _ ->
+            Aqt_capacity.Model.uniform ~policy:Aqt_capacity.Model.Drop_head
+              (1 + int 3)
+      in
+      let net =
+        N.create ~log_injections:true ~recycle:(Aqt_util.Prng.bool prng)
+          ~capacity ~graph ~policy:Policies.fifo ()
+      in
+      let logged = Hashtbl.create 64 and next_id = ref 0 in
+      let record time route =
+        Hashtbl.replace logged !next_id (time, route);
+        incr next_id
+      in
+      for _ = 1 to int 4 do
+        let route = random_route () in
+        let p = N.place_initial net route in
+        if p.Packet.id <> !next_id then
+          QCheck.Test.fail_reportf "initial packet got id %d, expected %d"
+            p.Packet.id !next_id;
+        record 0 route
+      done;
+      let expected at =
+        List.init !next_id Fun.id
+        |> List.filter_map (fun id ->
+               match Hashtbl.find_opt logged id with
+               | Some (time, route) when at time -> Some (time, route)
+               | _ -> None)
+        |> Array.of_list
+      in
+      for step = 1 to 10 + int 30 do
+        let victims = ref [] in
+        N.iter_buffered
+          (fun p -> if int 4 = 0 then victims := p :: !victims)
+          net;
+        List.iter
+          (fun (p : Packet.t) ->
+            let c = index (Packet.current_edge p) in
+            let room =
+              if ring then k - (p.hop + 1) else k - 1 - c
+            in
+            let suffix = path (c + 1) (int (room + 1)) in
+            N.reroute net p suffix;
+            match Hashtbl.find_opt logged p.id with
+            | Some (time, _) ->
+                Hashtbl.replace logged p.id
+                  (time, Array.append (Array.sub p.route 0 (p.hop + 1)) suffix)
+            | None -> ())
+          !victims;
+        let injs = List.init (int 4) (fun _ -> inj (random_route ())) in
+        let exo = List.init (int 3) (fun _ -> inj (random_route ())) in
+        N.step net ~exogenous:exo injs;
+        List.iter (fun (i : N.injection) -> record step i.route) injs;
+        next_id := !next_id + List.length exo;
+        if N.injection_log net <> expected (fun time -> time >= 1) then
+          QCheck.Test.fail_reportf "seed %d: injection log differs after step %d"
+            seed step;
+        if
+          N.initial_final_routes net
+          <> Array.map snd (expected (fun time -> time = 0))
+        then
+          QCheck.Test.fail_reportf
+            "seed %d: initial final routes differ after step %d" seed step
+      done;
+      true)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "aqt_engine"
@@ -375,6 +479,7 @@ let () =
           Alcotest.test_case "mechanics" `Quick reroute_mechanics;
           Alcotest.test_case "rejections" `Quick reroute_rejections;
           q prop_reroute_preserves_conservation;
+          q prop_log_follows_injections_and_reroutes;
         ] );
       ( "sim",
         [

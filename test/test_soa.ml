@@ -41,8 +41,9 @@ let prop_soa_matches_sequential =
    against SoA's bulk rewrite, over the reroute-bearing families: before
    every step both arms truncate by the same rule — by packet id and
    edge, or the feedback rule over the arm's own queues — and after it
-   their buffers and reroute counts must agree.  The differ's fast and
-   traced arms reroute through this path.  Returns the reroute count. *)
+   their buffers, reroute counts and injection logs must agree.  The
+   differ's fast and traced arms reroute through this path.  Returns the
+   reroute count. *)
 let reroute_pair seed =
   let sc =
     Gen.generate
@@ -50,8 +51,8 @@ let reroute_pair seed =
       seed
   in
   let engine backend =
-    Backend.create ~tie_order:sc.tie_order ~capacity:sc.capacity ~backend
-      ~graph:sc.graph ~policy:sc.policy ()
+    Backend.create ~log_injections:true ~tie_order:sc.tie_order
+      ~capacity:sc.capacity ~backend ~graph:sc.graph ~policy:sc.policy ()
   in
   let arms = [ engine `Record; engine (`Soa 2) ] in
   Fun.protect ~finally:(fun () -> List.iter Backend.shutdown arms)
@@ -62,7 +63,9 @@ let reroute_pair seed =
     sc.initial;
   let m = D.n_edges sc.graph in
   let state b =
-    (Backend.reroute_count b, List.init m (Backend.buffer_packets b))
+    ( Backend.reroute_count b,
+      List.init m (Backend.buffer_packets b),
+      Backend.injection_log b )
   in
   Array.iteri
     (fun i injs ->
